@@ -17,7 +17,8 @@ RHom between two expression trees is computed by structural recursion:
   duality, which transports the query to the other side.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
-recomputed independently through the Chern-character pairing.
+recomputed independently as the K-theory pairing x^T G y, with G the integer
+Gram matrix of the line-bundle basis from Hirzebruch-Riemann-Roch.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -35,7 +36,9 @@ def _parse_divisor_text(text: str) -> DivisorClass:
     return parse_object(f"O({text})").divisor
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="quadstab",
         description="Exact checks for the resolved one-node quadric threefold.",
@@ -68,9 +71,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--json", dest="json_path", help="write a JSON report to this path")
 
     sub.add_parser("report", help="run all checks and print the text report")
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -123,7 +129,7 @@ def _dispatch(args, config: HarnessConfig) -> int:
         obj = ctx.obj(args.expression)
         cls = ctx.calc.class_of(obj)
         coords = ctx.kt.coordinates(cls)
-        print(f"chern: {cls.chern}")
+        print(f"chern: {ctx.kt.chern(cls)}")
         print(f"coordinates: [{', '.join(map(str, coords))}]")
         return 0
     if args.command == "gram":

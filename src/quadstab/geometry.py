@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional
 
 Q = Fraction
@@ -310,17 +309,22 @@ class Geometry:
         self._chern_cache[D] = out
         return out
 
+    def chern_classes(self) -> tuple[ChowElement, ChowElement]:
+        """First and second Chern classes of the tangent bundle, with int entries."""
+        a, b = self.config.a, self.config.b
+        z = (0, 0, 0)
+        # total Chern class of the tangent bundle: (1 + t1)(1 + 2h)(1 + 2k)
+        # with t1 = 2H + a*h + b*k
+        total = self.chow_mul(
+            self.chow_mul(ChowElement(1, (2, a, b), z, 0), ChowElement(1, (0, 2, 0), z, 0)),
+            ChowElement(1, (0, 0, 2), z, 0),
+        )
+        return ChowElement(0, total.c1, z, 0), ChowElement(0, z, total.c2, 0)
+
     def todd_class(self) -> ChowElement:
         if self._todd is not None:
             return self._todd
-        a, b = self.config.a, self.config.b
-        t1 = ChowElement.of_divisor(DivisorClass(2, a, b))
-        fh = ChowElement.of_divisor(DivisorClass(0, 2, 0))
-        fk = ChowElement.of_divisor(DivisorClass(0, 0, 2))
-        # total Chern class of the tangent bundle: (1 + t1)(1 + 2h)(1 + 2k)
-        total = self.chow_mul(self.chow_mul(ONE + t1, ONE + fh), ONE + fk)
-        c1 = ChowElement(c1=total.c1)
-        c2 = ChowElement(c2=total.c2)
+        c1, c2 = self.chern_classes()
         c1sq = self.chow_mul(c1, c1)
         c1c2 = self.chow_mul(c1, c2)
         td = (
@@ -371,9 +375,3 @@ class Geometry:
 
     def hrr_euler(self, x: ChowElement, y: ChowElement) -> Q:
         return self.degree(self.chow_mul(self.chow_mul(x.dual(), y), self.todd_class()))
-
-
-@lru_cache(maxsize=None)
-def geometry_for(a: int, b: int) -> Geometry:
-    """Shared Geometry instance per twist (cohomology caches are reused)."""
-    return Geometry(GeometryConfig(a, b))

@@ -1,24 +1,23 @@
 """Numerical K-theory as an integer lattice of rank 8 with the Euler pairing.
 
-K-theory classes are represented by their Chern characters (exact rationals).
-A class is valid when it is an integer combination of the eight line bundles
-O, O(h), O(k), O(h+k), O(H), O(H+h), O(H+k), O(H+h+k); those coordinates are
-the fixed integral basis for all lattice computations.  Sublattices are kept
-in Hermite normal form, quotients are computed by Smith normal form.
+A K-theory class is a vector in Z^8: its coordinates in the fixed basis of
+the eight line bundles O, O(h), O(k), O(h+k), O(H), O(H+h), O(H+k),
+O(H+h+k).  Line classes, tensor products and the Serre twist are computed in
+the K-ring from its relations, and the Euler pairing is x^T G y with an
+integer Gram matrix G obtained from Hirzebruch-Riemann-Roch.  The rational
+pairing Geometry.hrr_euler on Chern characters stays the independent oracle
+these are tested against.  Sublattices are kept in Hermite normal form,
+quotients are computed by Smith normal form.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .geometry import (
-    ChowElement,
-    DivisorClass,
-    Geometry,
-    SurfaceDivisor,
-    Q,
-)
+from .geometry import ChowElement, DivisorClass, Geometry, SurfaceDivisor, Q
 
 
 class LatticeError(Exception):
@@ -274,67 +273,163 @@ SOD1_DIVISORS: tuple[DivisorClass, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class KClass:
-    """A numerical K-theory class represented by its Chern character."""
+class KClass(tuple):
+    """A numerical K-theory class: its eight integer coordinates in the basis
+    of line bundles O(D), D in SOD1_DIVISORS, with vector arithmetic."""
 
-    chern: ChowElement
+    __slots__ = ()
 
     def __add__(self, other: "KClass") -> "KClass":
-        return KClass(self.chern + other.chern)
+        return KClass(map(operator.add, self, other))
 
     def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(self.chern - other.chern)
+        return KClass(map(operator.sub, self, other))
 
     def __neg__(self) -> "KClass":
-        return KClass(-self.chern)
+        return KClass(-c for c in self)
 
     def scale(self, t: int) -> "KClass":
-        return KClass(self.chern.scale(t))
+        return KClass(t * c for c in self)
 
-    def rank(self) -> Q:
-        return self.chern.c0
+    def rank(self) -> int:
+        # every basis line bundle has rank one
+        return sum(self)
 
     def is_zero(self) -> bool:
-        return self.chern.is_zero()
+        return not any(self)
+
+
+def _superset_sums(v: Sequence[int], sign: int) -> list[int]:
+    """Change of basis between x^i y^j z^k and (x-1)^i (y-1)^j (z-1)^k.
+
+    Index 4i + j + 2k is the SOD1_DIVISORS position of O(iH + jh + kk).
+    sign = +1 takes monomial coordinates to nilpotent ones, -1 takes them back.
+    """
+    v = list(v)
+    for bit in (1, 2, 4):
+        for i in range(8):
+            if not i & bit:
+                v[i] += sign * v[i | bit]
+    return v
 
 
 class KTheory:
-    """Euler-pairing arithmetic over the rank-8 numerical K-theory lattice."""
+    """Integer arithmetic in the rank-8 numerical K-theory lattice.
+
+    With x = [O(H)], y = [O(h)], z = [O(k)] the K-ring is
+    Z[x, y, z] / ((y-1)^2, (z-1)^2, (x-1)(x-L)),  L = [O(-a*h - b*k)],
+    and its additive basis x^i y^j z^k (i, j, k in {0, 1}) is the line-bundle
+    basis SOD1_DIVISORS.  Line classes and products come from these
+    relations; the Euler pairing from an integer Gram matrix built on first
+    use by Hirzebruch-Riemann-Roch.
+    """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self._basis_inverse: Optional[list[list[Q]]] = None
+        self._lines: dict[DivisorClass, KClass] = {}
+        self._gram: Optional[list[list[int]]] = None
 
     # -- constructors --------------------------------------------------------
 
     def line_class(self, D: DivisorClass) -> KClass:
-        return KClass(self.geometry.chern_character(D))
+        """[O(D)] = x^n y^p z^q for D = nH + ph + qk, in closed form.
+
+        Write u = x-1, v = y-1, w = z-1, so v^2 = w^2 = 0 and y^p z^q is
+        (1 + pv)(1 + qw).  In the K-ring x^n = 1 + B_n u with
+        B_n = (L^n - 1)/(L - 1) = sum_{m<n} L^m and L^m = (1 - amv)(1 - bmw),
+        so B_n = n - a*s1*v - b*s1*w + ab*s2*vw with s1 = sum m, s2 = sum m^2.
+        """
+        cached = self._lines.get(D)
+        if cached is not None:
+            return cached
+        a, b = self.geometry.config.a, self.geometry.config.b
+        n, p, q = D.nH, D.nh, D.nk
+        s1 = n * (n - 1) // 2
+        s2 = n * (n - 1) * (2 * n - 1) // 6
+        b0, b1, b2, b3 = n, -a * s1, -b * s1, a * b * s2
+        nilpotent = (
+            1, p, q, p * q,
+            b0, b0 * p + b1, b0 * q + b2, b0 * p * q + b1 * q + b2 * p + b3,
+        )
+        out = KClass(_superset_sums(nilpotent, -1))
+        self._lines[D] = out
+        return out
 
     def pushforward_class(self, beta: SurfaceDivisor) -> KClass:
         """Class of the surface sheaf O_E(beta) pushed into the threefold."""
-        g = self.geometry
         lift = DivisorClass(0, beta.d, beta.e)
-        E = g.exceptional_divisor_class()
-        return KClass(g.chern_character(lift) - g.chern_character(lift - E))
+        E = self.geometry.exceptional_divisor_class()
+        return self.line_class(lift) - self.line_class(lift - E)
 
     def unit(self) -> KClass:
         return self.line_class(DivisorClass(0, 0, 0))
 
+    def _multiply(self, x: KClass, y: KClass) -> KClass:
+        """Product in the K-ring, computed in the nilpotent basis u^i v^j w^k
+        where v^2 = w^2 = 0 and u^2 = -a*uv - b*uw + ab*uvw."""
+        a, b = self.geometry.config.a, self.geometry.config.b
+        u_squared = ((1, -a), (2, -b), (3, a * b))
+        out = [0] * 8
+        ny = _superset_sums(y, 1)
+        for i, ci in enumerate(_superset_sums(x, 1)):
+            if not ci:
+                continue
+            for j, cj in enumerate(ny):
+                if not cj or i & j & 3:
+                    continue
+                if i & j & 4:
+                    rest = (i | j) & 3
+                    for bits, t in u_squared:
+                        if not rest & bits:
+                            out[4 | rest | bits] += ci * cj * t
+                else:
+                    out[i | j] += ci * cj
+        return KClass(_superset_sums(out, -1))
+
     def tensor_line(self, x: KClass, D: DivisorClass) -> KClass:
-        return KClass(self.geometry.chow_mul(x.chern, self.geometry.chern_character(D)))
+        return self._multiply(x, self.line_class(D))
 
     # -- pairing and Serre twist ----------------------------------------------
 
+    def _gram_rows(self) -> list[list[int]]:
+        """G[i][j] = chi(O(D_i), O(D_j)) = chi(O(D_j - D_i)) on SOD1_DIVISORS.
+
+        The 27 values of chi come from integer Hirzebruch-Riemann-Roch,
+        24 chi(O(D)) = 4D^3 + 6D^2 c1 + 2D (c1^2 + c2) + c1 c2.
+        """
+        if self._gram is not None:
+            return self._gram
+        g = self.geometry
+        c1, c2 = g.chern_classes()
+        z = (0, 0, 0)
+        # curve coefficients of 2(c1^2 + c2), and the number c1 c2
+        twice_c1sq_c2 = tuple(2 * (x + y) for x, y in zip(g.chow_mul(c1, c1).c2, c2.c2))
+        c1c2 = g.degree(g.chow_mul(c1, c2))
+        chi: dict[tuple[int, int, int], int] = {}
+        # D_j - D_i ranges over {-1, 0, 1}^3
+        for d in itertools.product((-1, 0, 1), repeat=3):
+            D = ChowElement(0, d, z, 0)
+            # 24 chi = D (D (4D + 6c1) + 2(c1^2 + c2)) + c1 c2, in integers
+            inner = g.chow_mul(D, ChowElement(0, tuple(4 * x + 6 * y for x, y in zip(d, c1.c1)), z, 0))
+            outer = ChowElement(0, z, tuple(map(operator.add, inner.c2, twice_c1sq_c2)), 0)
+            chi[d], rest = divmod(g.degree(g.chow_mul(D, outer)) + c1c2, 24)
+            if rest:
+                raise LatticeError(f"chi(O({DivisorClass(*d)})) is not an integer")
+        self._gram = [
+            [chi[(Dj.nH - Di.nH, Dj.nh - Di.nh, Dj.nk - Di.nk)] for Dj in SOD1_DIVISORS]
+            for Di in SOD1_DIVISORS
+        ]
+        return self._gram
+
     def euler_pairing(self, x: KClass, y: KClass) -> int:
-        value = self.geometry.hrr_euler(x.chern, y.chern)
-        if value.denominator != 1:
-            raise LatticeError(f"Euler pairing is not an integer: {value}")
-        return int(value)
+        return sum(
+            xi * sum(map(operator.mul, row, y))
+            for xi, row in zip(x, self._gram_rows())
+            if xi
+        )
 
     def serre_class(self, x: KClass) -> KClass:
-        omega = self.geometry.chern_character(self.geometry.canonical_class())
-        return KClass(-self.geometry.chow_mul(x.chern, omega))
+        return -self.tensor_line(x, self.geometry.canonical_class())
 
     # -- class-level mutations -------------------------------------------------
 
@@ -359,40 +454,38 @@ class KTheory:
     def sod1_classes(self) -> list[KClass]:
         return [self.line_class(D) for D in SOD1_DIVISORS]
 
-    def basis_matrix(self) -> list[list[Q]]:
-        return [list(c.chern.as_tuple()) for c in self.sod1_classes()]
-
     def basis_determinant(self) -> Q:
-        return rational_determinant(self.basis_matrix())
+        """Determinant of the Chern characters of the basis line bundles."""
+        g = self.geometry
+        return rational_determinant(
+            [list(g.chern_character(D).as_tuple()) for D in SOD1_DIVISORS]
+        )
 
     def coordinates(self, x: KClass) -> tuple[int, ...]:
-        """Coordinates of the class in the fixed line-bundle basis.
+        """Coordinates of the class in the fixed line-bundle basis."""
+        return tuple(x)
 
-        Raises LatticeError when the class is not an integer combination,
-        which is the validity test for K-theory classes.
+    def from_coordinates(self, coords: Sequence) -> KClass:
+        """The class with the given basis coordinates.
+
+        Raises LatticeError unless there are eight entries and each is an
+        integer (an int, or a Fraction with denominator 1).
         """
-        if self._basis_inverse is None:
-            self._basis_inverse = rational_inverse(
-                [list(r) for r in zip(*self.basis_matrix())]
-            )
-        vec = x.chern.as_tuple()
-        coords = [
-            sum(self._basis_inverse[j][i] * vec[i] for i in range(8))
-            for j in range(8)
-        ]
-        # column-solve: basis^T * c = vec, so c = (basis^T)^{-1} vec
-        out = []
+        if len(coords) != 8:
+            raise LatticeError(f"expected 8 coordinates, got {len(coords)}")
         for c in coords:
-            if c.denominator != 1:
-                raise LatticeError(f"class has non-integral coordinate {c}")
-            out.append(int(c))
-        return tuple(out)
+            if getattr(c, "denominator", None) != 1:
+                raise LatticeError(f"non-integral coordinate {c!r}")
+        return KClass(int(c) for c in coords)
 
-    def from_coordinates(self, coords: Sequence[int]) -> KClass:
+    def chern(self, x: KClass) -> ChowElement:
+        """Chern character sum_i x_i ch(O(D_i)) of the class."""
+        g = self.geometry
         total = ChowElement()
-        for c, kls in zip(coords, self.sod1_classes()):
-            total = total + kls.chern.scale(c)
-        return KClass(total)
+        for c, D in zip(x, SOD1_DIVISORS):
+            if c:
+                total = total + g.chern_character(D).scale(c)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +575,6 @@ class LatticeQuotient:
     torsion: tuple[int, ...]
     projection: tuple[tuple[int, ...], ...]  # source-basis coords -> Z^rank
     lift: tuple[tuple[int, ...], ...]  # rows: source-basis coords per free generator
-
-    def is_free_of_rank_one(self) -> bool:
-        return self.rank == 1 and not self.torsion
 
     def project(self, source_coords: Sequence[int]) -> tuple[int, ...]:
         cols = len(self.projection[0]) if self.projection else 0

@@ -138,23 +138,8 @@ def make_heart(
 
 
 def _require_independent(calc: Calculus, classes: Sequence[KClass]) -> None:
-    rows = [list(map(Q, calc.ktheory.coordinates(c))) for c in classes]
-    # rank check by Gaussian elimination
-    m = [row[:] for row in rows]
-    rank = 0
-    for col in range(8):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-    if rank != len(classes):
+    rows = [calc.ktheory.coordinates(c) for c in classes]
+    if IntegerLattice(8, rows).rank != len(classes):
         raise PreconditionError("classes of simples are linearly dependent")
 
 

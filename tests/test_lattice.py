@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from quadstab.geometry import DivisorClass, SurfaceDivisor
+from quadstab.geometry import DivisorClass, Geometry, GeometryConfig, SurfaceDivisor
 from quadstab.lattice import (
+    SOD1_DIVISORS,
     IntegerLattice,
+    KTheory,
     LatticeError,
     hnf_with_transform,
     integer_kernel,
@@ -18,6 +20,9 @@ from quadstab.lattice import (
 D = DivisorClass
 S = SurfaceDivisor
 Q = Fraction
+
+# the default twist and four others with mixed signs
+TWISTS = [(-1, -1), (0, 0), (1, -2), (2, 3), (-3, 1)]
 
 
 class TestLinearAlgebra:
@@ -134,7 +139,7 @@ class TestQuotient:
 
 class TestKClasses:
     def test_unit_class(self, kt):
-        assert kt.unit().chern.c0 == 1
+        assert kt.chern(kt.unit()).c0 == 1
         assert kt.coordinates(kt.unit()) == (1, 0, 0, 0, 0, 0, 0, 0)
 
     def test_pushforward_class_is_torsion(self, kt):
@@ -171,12 +176,15 @@ class TestKClasses:
         x = kt.line_class(D(1, 1, 0))
         assert kt.serre_class(kt.serre_class(x)).rank() == x.rank()
 
-    def test_non_integral_class_rejected(self, kt):
-        from quadstab.lattice import KClass
-
-        half = KClass(kt.unit().chern.scale(Fraction(1, 2)))
-        with pytest.raises(LatticeError):
-            kt.coordinates(half)
+    def test_non_integral_class_rejected(self):
+        for twist in TWISTS:
+            kt = KTheory(Geometry(GeometryConfig(*twist)))
+            for bad in (Fraction(1, 2), 0.5, 1.0, "1"):
+                with pytest.raises(LatticeError):
+                    kt.from_coordinates([bad, 0, 0, 0, 0, 0, 0, 0])
+            with pytest.raises(LatticeError):
+                kt.from_coordinates([1, 0, 0])
+            assert kt.from_coordinates([Fraction(3), 0, 0, 0, 0, 0, 0, 0]) == kt.unit().scale(3)
 
     def test_coordinate_round_trip(self, kt):
         import random
@@ -330,3 +338,44 @@ class TestEulerAgainstRhom:
                 assert r.euler == kt.euler_pairing(calc.class_of(x), calc.class_of(y))
                 if r.status == "determined":
                     assert r.dims.euler() == r.euler
+
+
+class TestAgainstChernCharacterOracle:
+    """The integer K-ring and Gram against the rational Chern-character path."""
+
+    @pytest.mark.parametrize("twist", TWISTS)
+    def test_line_class_matches_rational_coordinates(self, twist):
+        g = Geometry(GeometryConfig(*twist))
+        kt = KTheory(g)
+        # ch(O(D)) = sum_i c_i ch(O(D_i)), solved with the inverse of the
+        # transposed basis matrix
+        basis = [g.chern_character(Di).as_tuple() for Di in SOD1_DIVISORS]
+        inverse = rational_inverse([list(col) for col in zip(*basis)])
+        for n in range(-3, 4):
+            for p in range(-3, 4):
+                for q in range(-3, 4):
+                    ch = g.chern_character(D(n, p, q)).as_tuple()
+                    coords = tuple(sum(r * v for r, v in zip(row, ch)) for row in inverse)
+                    assert kt.coordinates(kt.line_class(D(n, p, q))) == coords
+
+    @pytest.mark.parametrize("twist", TWISTS)
+    def test_gram_matches_hrr(self, twist):
+        g = Geometry(GeometryConfig(*twist))
+        kt = KTheory(g)
+        gram = kt.gram_matrix(kt.sod1_classes())
+        for i, Di in enumerate(SOD1_DIVISORS):
+            for j, Dj in enumerate(SOD1_DIVISORS):
+                expected = g.hrr_euler(g.chern_character(Di), g.chern_character(Dj))
+                assert gram[i][j] == expected
+
+    @pytest.mark.parametrize("twist", TWISTS)
+    def test_serre_class_matches_chow_product(self, twist):
+        import random
+
+        g = Geometry(GeometryConfig(*twist))
+        kt = KTheory(g)
+        ch_omega = g.chern_character(g.canonical_class())
+        rng = random.Random(2024)
+        for _ in range(20):
+            x = kt.from_coordinates([rng.randint(-4, 4) for _ in range(8)])
+            assert kt.chern(kt.serre_class(x)) == -g.chow_mul(kt.chern(x), ch_omega)
