@@ -10,7 +10,13 @@ Grammar (also emitted by the pretty-printer):
     divisor := '' | signed term { ('+'|'-') term },  term := [int] ('H'|'h'|'k')
 
 L and R are mutation nodes; they are elaborated into cones by the calculus
-during normalization.  Cones parsed from text carry no provenance.
+during normalization.  Cones parsed from text carry no provenance.  Nesting
+deeper than MAX_DEPTH is rejected with a ParseError.
+
+Nodes are frozen, slotted dataclasses.  Each node computes its hash once, on
+first use, from its class name and fields, and keeps it in the shared `_hash`
+slot, so hashing a tree (as every memo lookup of the calculus does) is O(1)
+after the first time, not a walk over the whole tree.
 """
 
 from __future__ import annotations
@@ -27,44 +33,69 @@ class ParseError(Exception):
         self.position = position
 
 
-class FormalObject:
+class _Node:
+    """Slotted base whose hash is computed on first use and then kept."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            # the __slots__ of a slotted dataclass below _Node are its fields
+            h = hash((type(self).__name__, *(getattr(self, f) for f in self.__slots__)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
+def _node(cls):
+    """Frozen slotted dataclass that keeps the cached hash of _Node.
+
+    The dataclass decorator would replace an inherited __hash__ with a field
+    hash; a __hash__ set on the class itself is kept.
+    """
+    cls.__hash__ = _Node.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
+
+
+class FormalObject(_Node):
     """Base class for expression-tree nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Zero(FormalObject):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class LineAtom(FormalObject):
     """Line bundle O(D) on the threefold."""
 
     divisor: DivisorClass
 
 
-@dataclass(frozen=True)
+@_node
 class PushAtom(FormalObject):
     """Sheaf O_E(d, e) on the embedded quadric surface."""
 
     beta: SurfaceDivisor
 
 
-@dataclass(frozen=True)
+@_node
 class Shift(FormalObject):
     child: FormalObject
     n: int
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(FormalObject):
     children: tuple[FormalObject, ...]
 
 
-@dataclass(frozen=True)
-class Mutation:
+@_node
+class Mutation(_Node):
     """Provenance record for a cone produced by a mutation functor."""
 
     direction: str  # 'left' or 'right'
@@ -72,7 +103,7 @@ class Mutation:
     operand: FormalObject
 
 
-@dataclass(frozen=True)
+@_node
 class Cone(FormalObject):
     """Third vertex of the triangle source -> target -> cone -> source[1]."""
 
@@ -82,7 +113,7 @@ class Cone(FormalObject):
     mutation: Optional[Mutation] = None
 
 
-@dataclass(frozen=True)
+@_node
 class MutateLeftNode(FormalObject):
     """Unevaluated left mutation L(e, x); removed by normalization."""
 
@@ -90,7 +121,7 @@ class MutateLeftNode(FormalObject):
     x: FormalObject
 
 
-@dataclass(frozen=True)
+@_node
 class MutateRightNode(FormalObject):
     """Unevaluated right mutation R(x, e); removed by normalization."""
 
@@ -132,12 +163,19 @@ def strip_shift(x: FormalObject) -> tuple[FormalObject, int]:
 # parsing
 # ---------------------------------------------------------------------------
 
+# Most objects nested inside one another that the parser accepts.  The
+# calculus recurses about six frames per level of a cone (the long exact
+# sequence and Serre transport), so 100 levels stay well inside Python's
+# default recursion limit of 1000; real expressions are a few levels deep.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str, names: Optional[dict[str, FormalObject]] = None):
         self.text = text
         self.pos = 0
         self.names = names or {}
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -213,6 +251,14 @@ class _Parser:
         return DivisorClass(coeffs["H"], coeffs["h"], coeffs["k"])
 
     def parse_object(self) -> FormalObject:
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"objects nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        obj = self._parse_node()
+        self.depth -= 1
+        return obj
+
+    def _parse_node(self) -> FormalObject:
         word = self.read_word()
         if word == "O":
             self.expect("(")

@@ -241,41 +241,56 @@ class Geometry:
         self.config = config
         self._chern_cache: dict[DivisorClass, ChowElement] = {}
         self._todd: Optional[ChowElement] = None
+        # c1, the curve class 2(c1^2 + c2) and the number c1 c2, all integral
+        self._rr: Optional[tuple[tuple, tuple, int]] = None
 
     # -- Chow ring ---------------------------------------------------------
 
-    def chow_mul(self, x: ChowElement, y: ChowElement) -> ChowElement:
+    def _curve_product(self, u: tuple, v: tuple) -> tuple:
+        """(Hh, Hk, hk) coefficients of the product of two divisor classes.
+
+        Uses H^2 = -a*Hh - b*Hk and h^2 = k^2 = 0.
+        """
         a, b = self.config.a, self.config.b
+        uH, uh, uk = u
+        vH, vh, vk = v
+        return (
+            uH * vh + uh * vH - a * uH * vH,
+            uH * vk + uk * vH - b * uH * vH,
+            uh * vk + uk * vh,
+        )
+
+    def _point_product(self, u: tuple, v: tuple):
+        """Degree of a divisor class u times a curve class v.
+
+        Uses H*Hh = -b*pt, H*Hk = -a*pt, H*hk = h*Hk = k*Hh = pt and all
+        other products zero.
+        """
+        a, b = self.config.a, self.config.b
+        uH, uh, uk = u
+        vHh, vHk, vhk = v
+        return uH * (-b * vHh - a * vHk + vhk) + uh * vHk + uk * vHh
+
+    def chow_mul(self, x: ChowElement, y: ChowElement) -> ChowElement:
         xH, xh, xk = x.c1
         yH, yh, yk = y.c1
-
+        dHh, dHk, dhk = self._curve_product(x.c1, y.c1)
         c0 = x.c0 * y.c0
-
         c1 = (
             x.c0 * yH + xH * y.c0,
             x.c0 * yh + xh * y.c0,
             x.c0 * yk + xk * y.c0,
         )
-
-        # degree-1 x degree-1 products, using H^2 = -a*Hh - b*Hk, h^2 = k^2 = 0
         c2 = (
-            x.c0 * y.c2[0] + x.c2[0] * y.c0 + xH * yh + xh * yH - a * xH * yH,
-            x.c0 * y.c2[1] + x.c2[1] * y.c0 + xH * yk + xk * yH - b * xH * yH,
-            x.c0 * y.c2[2] + x.c2[2] * y.c0 + xh * yk + xk * yh,
+            x.c0 * y.c2[0] + x.c2[0] * y.c0 + dHh,
+            x.c0 * y.c2[1] + x.c2[1] * y.c0 + dHk,
+            x.c0 * y.c2[2] + x.c2[2] * y.c0 + dhk,
         )
-
-        def point_part(u1, v2) -> Q:
-            # degree-1 times degree-2, using H*Hh = -b*pt, H*Hk = -a*pt,
-            # H*hk = h*Hk = k*Hh = pt and all other products zero.
-            uH, uh, uk = u1
-            vHh, vHk, vhk = v2
-            return uH * (-b * vHh - a * vHk + vhk) + uh * vHk + uk * vHh
-
         c3 = (
             x.c0 * y.c3
             + x.c3 * y.c0
-            + point_part(x.c1, y.c2)
-            + point_part(y.c1, x.c2)
+            + self._point_product(x.c1, y.c2)
+            + self._point_product(y.c1, x.c2)
         )
         return ChowElement(c0, c1, c2, c3)
 
@@ -373,5 +388,27 @@ class Geometry:
 
     # -- Riemann-Roch ---------------------------------------------------------
 
+    def euler_characteristic(self, D: DivisorClass) -> int:
+        """chi(O(D)) by integer Hirzebruch-Riemann-Roch.
+
+        24 chi = D (D (4D + 6c1) + 2(c1^2 + c2)) + c1 c2 with c1, c2 the
+        Chern classes of the tangent bundle; every product is integral.
+        Raises GeometryError if the right side is not divisible by 24.
+        """
+        if self._rr is None:
+            c1, c2 = self.chern_classes()
+            curve = tuple(2 * (x + y) for x, y in zip(self.chow_mul(c1, c1).c2, c2.c2))
+            self._rr = (c1.c1, curve, self.degree(self.chow_mul(c1, c2)))
+        c1, curve, c1c2 = self._rr
+        d = (D.nH, D.nh, D.nk)
+        inner = self._curve_product(d, tuple(4 * x + 6 * y for x, y in zip(d, c1)))
+        chi, rest = divmod(
+            self._point_product(d, tuple(x + y for x, y in zip(inner, curve))) + c1c2, 24
+        )
+        if rest:
+            raise GeometryError(f"chi(O({D})) is not an integer")
+        return chi
+
     def hrr_euler(self, x: ChowElement, y: ChowElement) -> Q:
+        """The rational Riemann-Roch pairing deg(ch(x)^dual ch(y) td)."""
         return self.degree(self.chow_mul(self.chow_mul(x.dual(), y), self.todd_class()))

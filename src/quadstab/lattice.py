@@ -4,15 +4,16 @@ A K-theory class is a vector in Z^8: its coordinates in the fixed basis of
 the eight line bundles O, O(h), O(k), O(h+k), O(H), O(H+h), O(H+k),
 O(H+h+k).  Line classes, tensor products and the Serre twist are computed in
 the K-ring from its relations, and the Euler pairing is x^T G y with an
-integer Gram matrix G obtained from Hirzebruch-Riemann-Roch.  The rational
-pairing Geometry.hrr_euler on Chern characters stays the independent oracle
-these are tested against.  Sublattices are kept in Hermite normal form,
-quotients are computed by Smith normal form.
+integer Gram matrix G of values chi(O(D)) from Geometry.euler_characteristic,
+the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
+props.hrr-vs-cohomology check).  The rational pairing Geometry.hrr_euler on
+Chern characters is only the test oracle these are checked against.
+Sublattices are kept in Hermite normal form, quotients are computed by Smith
+normal form.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -394,31 +395,12 @@ class KTheory:
     def _gram_rows(self) -> list[list[int]]:
         """G[i][j] = chi(O(D_i), O(D_j)) = chi(O(D_j - D_i)) on SOD1_DIVISORS.
 
-        The 27 values of chi come from integer Hirzebruch-Riemann-Roch,
-        24 chi(O(D)) = 4D^3 + 6D^2 c1 + 2D (c1^2 + c2) + c1 c2.
+        Each chi comes from Geometry.euler_characteristic (D_j - D_i is in
+        {-1, 0, 1}^3).
         """
-        if self._gram is not None:
-            return self._gram
-        g = self.geometry
-        c1, c2 = g.chern_classes()
-        z = (0, 0, 0)
-        # curve coefficients of 2(c1^2 + c2), and the number c1 c2
-        twice_c1sq_c2 = tuple(2 * (x + y) for x, y in zip(g.chow_mul(c1, c1).c2, c2.c2))
-        c1c2 = g.degree(g.chow_mul(c1, c2))
-        chi: dict[tuple[int, int, int], int] = {}
-        # D_j - D_i ranges over {-1, 0, 1}^3
-        for d in itertools.product((-1, 0, 1), repeat=3):
-            D = ChowElement(0, d, z, 0)
-            # 24 chi = D (D (4D + 6c1) + 2(c1^2 + c2)) + c1 c2, in integers
-            inner = g.chow_mul(D, ChowElement(0, tuple(4 * x + 6 * y for x, y in zip(d, c1.c1)), z, 0))
-            outer = ChowElement(0, z, tuple(map(operator.add, inner.c2, twice_c1sq_c2)), 0)
-            chi[d], rest = divmod(g.degree(g.chow_mul(D, outer)) + c1c2, 24)
-            if rest:
-                raise LatticeError(f"chi(O({DivisorClass(*d)})) is not an integer")
-        self._gram = [
-            [chi[(Dj.nH - Di.nH, Dj.nh - Di.nh, Dj.nk - Di.nk)] for Dj in SOD1_DIVISORS]
-            for Di in SOD1_DIVISORS
-        ]
+        if self._gram is None:
+            chi = self.geometry.euler_characteristic
+            self._gram = [[chi(Dj - Di) for Dj in SOD1_DIVISORS] for Di in SOD1_DIVISORS]
         return self._gram
 
     def euler_pairing(self, x: KClass, y: KClass) -> int:
@@ -621,11 +603,3 @@ def quotient(source: IntegerLattice, kernel: IntegerLattice) -> LatticeQuotient:
 
 def lattice_from(ktheory: KTheory, classes: Sequence[KClass]) -> IntegerLattice:
     return IntegerLattice(8, [ktheory.coordinates(c) for c in classes])
-
-
-def lattice_equal(a: IntegerLattice, b: IntegerLattice) -> bool:
-    return a == b
-
-
-def lattice_member(vec: Sequence[int], lattice: IntegerLattice) -> bool:
-    return lattice.member(vec)

@@ -9,6 +9,7 @@ itself is automatic and recorded as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -306,16 +307,9 @@ def _charge_kernel(Z_rows: Sequence[tuple[Q, Q]]) -> list[list[int]]:
     n = len(Z_rows)
     denom = 1
     for re, im in Z_rows:
-        denom = denom * re.denominator // _gcd(denom, re.denominator)
-        denom = denom * im.denominator // _gcd(denom, im.denominator)
+        denom = math.lcm(denom, re.denominator, im.denominator)
     matrix = [[int(re * denom), int(im * denom)] for re, im in Z_rows]
     return integer_kernel(matrix)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ quotes; the engine must reproduce each one exactly and with determined
 status.
 """
 
+import random
+
 import pytest
 
-from quadstab.geometry import DivisorClass, GradedDims, SurfaceDivisor
+from quadstab.geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
 from quadstab.expressions import (
     Cone,
     LineAtom,
@@ -17,7 +19,8 @@ from quadstab.expressions import (
     Zero,
     parse_object,
 )
-from quadstab.calculus import PreconditionError
+from quadstab.calculus import Calculus, PreconditionError
+from quadstab.harness import _corpus
 
 D = DivisorClass
 S = SurfaceDivisor
@@ -375,3 +378,32 @@ class TestIdentityCertification:
     def test_structural_equality_short_circuits(self, ctx):
         rep = ctx.calc.verify_identity(ctx.names["G"], ctx.names["G"])
         assert rep.ok
+
+
+class TestMemoIndependence:
+    """RHom results do not depend on memo state or on query order."""
+
+    PAIRS = 1000
+
+    def test_shared_fresh_and_reversed_agree(self):
+        normalizer = Calculus(Geometry())
+        objects = []
+        for text in _corpus():
+            try:
+                objects.append(normalizer.normalize(parse_object(text)))
+            except PreconditionError:
+                continue
+        rng = random.Random(20261018)
+        pairs = [(rng.choice(objects), rng.choice(objects)) for _ in range(self.PAIRS)]
+        hashes = [hash(x) for x in objects]
+
+        shared = Calculus(Geometry())
+        forward = [shared.rhom(x, y) for x, y in pairs]
+        reverse_calc = Calculus(Geometry())
+        reverse = [reverse_calc.rhom(x, y) for x, y in reversed(pairs)][::-1]
+        fresh = [Calculus(Geometry()).rhom(x, y) for x, y in pairs]
+
+        assert forward == fresh
+        assert reverse == fresh
+        assert [hash(x) for x in objects] == hashes
+        assert len(set(objects)) > 50

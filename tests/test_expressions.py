@@ -1,11 +1,16 @@
+import dataclasses
+
 import pytest
 
 from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.expressions import (
+    MAX_DEPTH,
     Cone,
+    FormalObject,
     LineAtom,
     MutateLeftNode,
     MutateRightNode,
+    Mutation,
     ParseError,
     PushAtom,
     Shift,
@@ -67,6 +72,115 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_object(bad)
         assert "position" in str(err.value)
+
+
+NESTERS = {
+    "shift": lambda s: f"shift({s},1)",
+    "sum": lambda s: f"sum({s},O(-H))",
+    "cone": lambda s: f"cone(O(-h-k),{s})",
+    "L": lambda s: f"L(O(),{s})",
+    "R": lambda s: f"R({s},O())",
+}
+
+
+def nested(kind: str, levels: int, leaf: str = "O()") -> str:
+    """`levels` objects nested inside one another, the innermost `leaf`."""
+    text = leaf
+    for _ in range(levels - 1):
+        text = NESTERS[kind](text)
+    return text
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("kind", sorted(NESTERS))
+    def test_limit_accepted(self, kind):
+        parse_object(nested(kind, MAX_DEPTH))
+
+    @pytest.mark.parametrize("kind", sorted(NESTERS))
+    def test_beyond_limit_rejected(self, kind):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_object(nested(kind, MAX_DEPTH + 1))
+
+    def test_wide_trees_are_not_limited(self):
+        wide = "sum(" + ",".join(nested("shift", MAX_DEPTH - 1) for _ in range(50)) + ")"
+        assert len(parse_object(wide).children) == 50
+
+
+def _all_kinds() -> Cone:
+    """A tree holding every node class, built without the parser."""
+    inner = MutateRightNode(LineAtom(D(1, 0, 0)), MutateLeftNode(Zero(), LineAtom(D(0, 0, -1))))
+    return Cone(
+        LineAtom(D(0, 1, 0)),
+        Sum((PushAtom(SurfaceDivisor(-1, 0)), Shift(Zero(), 1))),
+        "evaluation",
+        Mutation("left", LineAtom(D(0, 0, 0)), inner),
+    )
+
+
+def _nodes(x):
+    """Every node of a tree, Mutation records included."""
+    yield x
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            value = getattr(x, f.name)
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, (FormalObject, Mutation)):
+                    yield from _nodes(child)
+
+
+class TestNodes:
+    def test_every_node_class_is_covered(self):
+        kinds = {type(n) for n in _nodes(_all_kinds())}
+        assert kinds == {
+            Cone, LineAtom, MutateLeftNode, MutateRightNode, Mutation, PushAtom, Shift, Sum, Zero
+        }
+
+    def test_equal_trees_have_equal_hashes(self):
+        a, b = _all_kinds(), _all_kinds()
+        assert a is not b and a == b and hash(a) == hash(b)
+        text = "cone(L(O(),shift(OE(1,2),3)),sum(R(O(h),O()),zero()))"
+        assert hash(parse_object(text)) == hash(parse_object(text))
+
+    def test_hash_distinguishes_node_classes(self):
+        e, x = LineAtom(D(0, 0, 0)), LineAtom(D(0, 1, 0))
+        assert MutateLeftNode(e, x) != MutateRightNode(e, x)
+        assert len({hash(MutateLeftNode(e, x)), hash(MutateRightNode(e, x))}) == 2
+
+    def test_hash_is_stable(self):
+        tree = _all_kinds()
+        first = {id(n): hash(n) for n in _nodes(tree)}
+        for _ in range(3):
+            assert {id(n): hash(n) for n in _nodes(tree)} == first
+
+    def test_hash_is_kept_on_the_node(self):
+        tree = _all_kinds()
+        hash(tree)
+        for node in _nodes(tree):
+            assert node._hash == hash(node)
+
+    def test_fields_are_frozen(self):
+        for node in _nodes(_all_kinds()):
+            for f in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, f.name, None)
+
+    def test_nodes_have_no_dict(self):
+        for node in _nodes(_all_kinds()):
+            assert not hasattr(node, "__dict__")
+
+    def test_repr_and_pretty_unchanged(self):
+        tree = _all_kinds()
+        hash(tree)
+        assert repr(tree) == (
+            "Cone(source=LineAtom(divisor=DivisorClass(nH=0, nh=1, nk=0)), "
+            "target=Sum(children=(PushAtom(beta=SurfaceDivisor(d=-1, e=0)), "
+            "Shift(child=Zero(), n=1))), provenance='evaluation', "
+            "mutation=Mutation(direction='left', "
+            "through=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), "
+            "operand=MutateRightNode(x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=0)), "
+            "e=MutateLeftNode(e=Zero(), x=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1))))))"
+        )
+        assert pretty(tree) == "cone(O(h),sum(OE(-1,0),shift(zero(),1)))"
 
 
 class TestPrinter:

@@ -7,6 +7,7 @@ from quadstab.geometry import (
     DivisorClass,
     Geometry,
     GeometryConfig,
+    GeometryError,
     GradedDims,
     SurfaceDivisor,
 )
@@ -223,6 +224,52 @@ class TestThreefoldCohomology:
                     lhs = g.threefold_cohomology(dd)
                     rhs = g.threefold_cohomology(K - dd).dual(3)
                     assert lhs == rhs
+
+
+class TestIntegerRiemannRoch:
+    """Geometry.euler_characteristic against the rational hrr_euler oracle."""
+
+    TWISTS = [(-1, -1), (0, 0), (-2, 0), (1, -2), (2, 3), (-3, 1)]
+
+    @pytest.mark.parametrize("twist", TWISTS)
+    def test_matches_rational_oracle(self, twist):
+        g = Geometry(GeometryConfig(*twist))
+        unit = g.chern_character(D(0, 0, 0))
+        for nH in range(-4, 5):
+            for nh in range(-4, 5):
+                for nk in range(-4, 5):
+                    dd = D(nH, nh, nk)
+                    chi = g.euler_characteristic(dd)
+                    assert type(chi) is int
+                    assert chi == g.hrr_euler(unit, g.chern_character(dd))
+
+    def test_non_integral_value_raises(self):
+        g = Geometry()
+        g.euler_characteristic(D(0, 0, 0))
+        c1, curve, c1c2 = g._rr
+        g._rr = (c1, curve, c1c2 + 1)
+        with pytest.raises(GeometryError, match="not an integer"):
+            g.euler_characteristic(D(1, 0, 0))
+
+    def test_hrr_check_uses_no_rational_pairing(self, monkeypatch):
+        from quadstab import harness
+
+        calls = {"hrr_euler": 0, "chern_character": 0}
+
+        def counting(name):
+            original = getattr(Geometry, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Geometry, name, counting(name))
+        ok, _, actual = harness._check_props_hrr(harness.Context(harness.default_config()))
+        assert ok, actual
+        assert calls == {"hrr_euler": 0, "chern_character": 0}
 
 
 class TestHrrEuler:

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import quadstab
+from quadstab.expressions import MAX_DEPTH
 
 from quadstab.harness import (
     CHECK_NAMES,
@@ -13,6 +20,8 @@ from quadstab.harness import (
     run_checks,
 )
 from quadstab.cli import main
+
+from test_expressions import NESTERS, nested
 
 
 class TestConfig:
@@ -195,6 +204,28 @@ class TestCli:
         assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "33 checks" in out
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("kind", sorted(NESTERS))
+    def test_tree_at_the_limit(self, kind, capsys):
+        tree = nested(kind, MAX_DEPTH)
+        for argv in (["rhom", "O(H)", tree], ["class", tree], ["mutate", "L", "O()", tree]):
+            assert main(argv) == 0, argv[0]
+            assert capsys.readouterr().err == ""
+
+    def test_beyond_the_limit_exits_2_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadstab", "rhom", nested("shift", 1200), "O()"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "nested deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

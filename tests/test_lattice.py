@@ -95,14 +95,12 @@ class TestIntegerLattice:
         with pytest.raises(LatticeError):
             IntegerLattice(2, [[1, 2, 3]])
 
-    def test_module_level_helpers(self):
-        from quadstab.lattice import lattice_equal, lattice_member
-
+    def test_equality_and_membership(self):
         a = IntegerLattice(2, [[1, 0], [0, 2]])
         b = IntegerLattice(2, [[1, 2], [0, 2]])
-        assert lattice_equal(a, b)
-        assert lattice_member([3, 4], a)
-        assert not lattice_member([0, 1], a)
+        assert a == b
+        assert a.member([3, 4])
+        assert not a.member([0, 1])
 
 
 class TestQuotient:
