@@ -28,8 +28,11 @@ from .harness import (
 def _load_config(path: Optional[str]) -> HarnessConfig:
     if path is None:
         return default_config()
-    with open(path, "r", encoding="utf-8") as handle:
-        return HarnessConfig.from_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return HarnessConfig.from_text(handle.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_divisor_text(text: str) -> DivisorClass:
@@ -81,8 +84,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        config = _load_config(args.config)
-        return _dispatch(args, config)
+        ctx = Context(_load_config(args.config))
+        ctx.resolve()
+        return _dispatch(args, ctx)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -91,23 +95,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def _dispatch(args, config: HarnessConfig) -> int:
+def _dispatch(args, ctx: Context) -> int:
     if args.command in ("check", "report"):
         selection = None
         if args.command == "check" and args.only:
             selection = tuple(n.strip() for n in args.only.split(",") if n.strip())
-        results = run_checks(config, selection)
-        print(emit_report(results, "text", config.twist))
+        results = run_checks(ctx, selection)
+        print(emit_report(results, "text", ctx.config.twist))
         if args.command == "check" and args.json_path:
             import datetime
 
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
             with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(emit_report(results, "json", config.twist, timestamp=stamp))
+                handle.write(emit_report(results, "json", ctx.config.twist, timestamp=stamp))
                 handle.write("\n")
         return 0 if all(r.status in ("pass", "skipped") for r in results) else 1
 
-    ctx = Context(config)
     if args.command == "cohomology":
         D = _parse_divisor_text(args.divisor)
         print(ctx.geometry.threefold_cohomology(D))

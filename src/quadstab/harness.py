@@ -6,6 +6,10 @@ tag ('pinned' for frozen golden values, 'derived' for values produced by an
 independent oracle), and a runner.  Checks whose golden values are specific
 to the default twist (-1, -1) are skipped, not run, at other twists;
 property checks run everywhere.
+
+HarnessConfig.from_text reads the INI text; validate_config, the only code
+that parses its expressions, checks the whole config in one pass and returns
+a ResolvedConfig, from which Context builds its objects and hearts.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import configparser
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .geometry import (
     DivisorClass,
@@ -24,7 +28,14 @@ from .geometry import (
     SurfaceDivisor,
     Q,
 )
-from .lattice import IntegerLattice, KClass, lattice_from, quotient
+from .lattice import (
+    IntegerLattice,
+    KClass,
+    LatticeError,
+    integer_solution,
+    lattice_from,
+    quotient,
+)
 from .expressions import (
     FormalObject,
     LineAtom,
@@ -101,8 +112,6 @@ class HarnessConfig:
             cfg.twist = (a, b)
         if parser.has_section("objects"):
             for name, expr in parser.items("objects"):
-                if name in cfg.objects:
-                    raise ConfigError(f"duplicate object name {name!r}")
                 cfg.objects[name] = expr.strip()
         if parser.has_section("hearts"):
             for name, defn in parser.items("hearts"):
@@ -127,7 +136,7 @@ def _parse_complex_pair(text: str, owner: str) -> tuple[Q, Q]:
     try:
         re_s, im_s = text[1:-1].split(",")
         return (Fraction(re_s.strip()), Fraction(im_s.strip()))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"charge {owner!r}: bad value {text!r}") from exc
 
 
@@ -135,12 +144,38 @@ def default_config() -> HarnessConfig:
     return HarnessConfig.from_text(DEFAULT_CONFIG_TEXT)
 
 
-def validate_config(config: HarnessConfig) -> None:
-    """Reject malformed configurations before any check runs.
+@dataclass(frozen=True)
+class TiltSpec:
+    """A heart given as the tilt of an earlier heart at one of its simples."""
 
-    This is a syntactic pass: expressions must parse and names must resolve;
-    whether the named mutations exist at the configured twist is a
-    mathematical question answered by the individual checks.
+    parent: str
+    index: int  # 0-based position of the simple tilted at
+
+
+HeartSpec = Union[tuple[tuple[str, FormalObject], ...], TiltSpec]
+
+
+@dataclass(frozen=True)
+class ResolvedConfig:
+    """A configuration after its one parsing and checking pass.
+
+    ``names`` holds the parsed object trees (not normalized), a heart is its
+    ``(label, tree)`` simples or a TiltSpec, and a charge is the name of its
+    heart with its CentralCharge.
+    """
+
+    names: dict[str, FormalObject]
+    hearts: dict[str, HeartSpec]
+    charges: dict[str, tuple[str, CentralCharge]]
+
+
+def validate_config(config: HarnessConfig) -> ResolvedConfig:
+    """Parse and check the objects, hearts and charges of a configuration.
+
+    This is the only code that parses config expressions.  It is a syntactic
+    pass: expressions must parse, names must resolve and sizes must match;
+    whether the named mutations and hearts exist at the configured twist is
+    a mathematical question answered when Context builds them.
     """
     names: dict[str, FormalObject] = {}
     for name, expr in config.objects.items():
@@ -148,39 +183,47 @@ def validate_config(config: HarnessConfig) -> None:
             names[name] = parse_object(expr, names)
         except Exception as exc:
             raise ConfigError(f"object {name!r}: {exc}") from exc
-    heart_sizes: dict[str, int] = {}
+    hearts: dict[str, HeartSpec] = {}
+    sizes: dict[str, int] = {}
     for name, defn in config.hearts.items():
         words = defn.split()
         if words and words[0] == "tilt":
             if len(words) != 3:
                 raise ConfigError(f"heart {name!r}: expected 'tilt <heart> <position>'")
-            if words[1] not in heart_sizes:
-                raise ConfigError(f"heart {name!r}: unknown parent {words[1]!r}")
+            parent = words[1]
+            if parent not in sizes:
+                raise ConfigError(f"heart {name!r}: unknown parent {parent!r}")
             try:
                 position = int(words[2])
             except ValueError as exc:
                 raise ConfigError(f"heart {name!r}: bad position {words[2]!r}") from exc
-            if not 1 <= position <= heart_sizes[words[1]]:
+            if not 1 <= position <= sizes[parent]:
                 raise ConfigError(f"heart {name!r}: position {position} out of range")
-            heart_sizes[name] = heart_sizes[words[1]]
+            hearts[name] = TiltSpec(parent, position - 1)
+            sizes[name] = sizes[parent]
             continue
-        parts = [p.strip() for p in defn.split(";")]
-        for part in parts:
+        simples = []
+        for part in defn.split(";"):
+            part = part.strip()
             if not part:
                 raise ConfigError(f"heart {name!r}: empty simple")
             try:
-                parse_object(part, names)
+                simples.append((part, parse_object(part, names)))
             except Exception as exc:
                 raise ConfigError(f"heart {name!r}: {exc}") from exc
-        heart_sizes[name] = len(parts)
+        hearts[name] = tuple(simples)
+        sizes[name] = len(simples)
+    charges: dict[str, tuple[str, CentralCharge]] = {}
     for name, (heart_name, values) in config.charges.items():
-        if heart_name not in heart_sizes:
+        if heart_name not in sizes:
             raise ConfigError(f"charge {name!r} references unknown heart {heart_name!r}")
-        if len(values) != heart_sizes[heart_name]:
+        if len(values) != sizes[heart_name]:
             raise ConfigError(
                 f"charge {name!r} has {len(values)} values for "
-                f"{heart_sizes[heart_name]} simples"
+                f"{sizes[heart_name]} simples"
             )
+        charges[name] = (heart_name, CentralCharge(values))
+    return ResolvedConfig(names, hearts, charges)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +234,12 @@ def validate_config(config: HarnessConfig) -> None:
 class Context:
     """Runtime objects for one configuration.
 
-    Named objects, hearts, and charges are built lazily: at twists other than
-    the default one the golden mutation objects need not exist, and the
-    checks that would use them are skipped.
+    Context(config) never raises: the config is resolved by validate_config
+    on the first call of resolve() or the first access to names, hearts or
+    charges, which raise ConfigError for a bad config.  Named objects are
+    normalized and hearts built from the resolved config, lazily: at twists
+    other than the default one the golden mutation objects need not exist,
+    and the checks that would use them are skipped.
     """
 
     def __init__(self, config: HarnessConfig):
@@ -201,74 +247,39 @@ class Context:
         self.geometry = Geometry(GeometryConfig(*config.twist))
         self.calc = Calculus(self.geometry)
         self.kt = self.calc.ktheory
+        self._resolved: Optional[ResolvedConfig] = None
         self._names: Optional[dict[str, FormalObject]] = None
         self._hearts: Optional[dict[str, Heart]] = None
-        self._charges: Optional[dict[str, tuple[str, CentralCharge]]] = None
         self._descent_cache = None
+
+    def resolve(self) -> ResolvedConfig:
+        if self._resolved is None:
+            self._resolved = validate_config(self.config)
+        return self._resolved
 
     @property
     def names(self) -> dict[str, FormalObject]:
         if self._names is None:
-            self._names = {}
-            for name, expr in self.config.objects.items():
-                try:
-                    raw = parse_object(expr, self._names)
-                except Exception as exc:
-                    raise ConfigError(f"object {name!r}: {exc}") from exc
-                self._names[name] = self.calc.normalize(raw)
+            self._names = {
+                name: self.calc.normalize(tree) for name, tree in self.resolve().names.items()
+            }
         return self._names
 
     @property
     def hearts(self) -> dict[str, Heart]:
         if self._hearts is None:
-            self._hearts = {}
-            for name, defn in self.config.hearts.items():
-                self._hearts[name] = self._build_heart(name, defn)
+            hearts: dict[str, Heart] = {}
+            for name, spec in self.resolve().hearts.items():
+                if isinstance(spec, TiltSpec):
+                    hearts[name] = tilt_at(self.calc, hearts[spec.parent], spec.index)
+                else:
+                    hearts[name] = make_heart(self.calc, spec)
+            self._hearts = hearts
         return self._hearts
 
     @property
     def charges(self) -> dict[str, tuple[str, CentralCharge]]:
-        if self._charges is None:
-            self._charges = {}
-            for name, (heart_name, values) in self.config.charges.items():
-                if heart_name not in self.hearts:
-                    raise ConfigError(
-                        f"charge {name!r} references unknown heart {heart_name!r}"
-                    )
-                if len(values) != len(self.hearts[heart_name]):
-                    raise ConfigError(
-                        f"charge {name!r} has {len(values)} values for "
-                        f"{len(self.hearts[heart_name])} simples"
-                    )
-                self._charges[name] = (heart_name, CentralCharge(values))
-        return self._charges
-
-    def _build_heart(self, name: str, defn: str) -> Heart:
-        words = defn.split()
-        if words and words[0] == "tilt":
-            if len(words) != 3:
-                raise ConfigError(f"heart {name!r}: expected 'tilt <heart> <position>'")
-            parent = (self._hearts or {}).get(words[1])
-            if parent is None:
-                raise ConfigError(f"heart {name!r}: unknown parent {words[1]!r}")
-            try:
-                position = int(words[2])
-            except ValueError as exc:
-                raise ConfigError(f"heart {name!r}: bad position {words[2]!r}") from exc
-            if not 1 <= position <= len(parent):
-                raise ConfigError(f"heart {name!r}: position {position} out of range")
-            return tilt_at(self.calc, parent, position - 1)
-        simples = []
-        for part in defn.split(";"):
-            part = part.strip()
-            if not part:
-                raise ConfigError(f"heart {name!r}: empty simple")
-            try:
-                obj = parse_object(part, self.names)
-            except Exception as exc:
-                raise ConfigError(f"heart {name!r}: {exc}") from exc
-            simples.append((part, obj))
-        return make_heart(self.calc, simples)
+        return self.resolve().charges
 
     # -- shared named data ---------------------------------------------------
 
@@ -357,10 +368,6 @@ class Check:
     tag: str
     default_twist_only: bool
     runner: Callable[[Context], tuple[bool, str, str]]
-
-
-def _dims(ctx: Context, left: str, right: str) -> str:
-    return str(ctx.calc.rhom(ctx.obj(left), ctx.obj(right)))
 
 
 def _check_sod1_semiorthogonal(ctx: Context) -> tuple[bool, str, str]:
@@ -542,36 +549,20 @@ def _check_kernel_relation(ctx: Context) -> tuple[bool, str, str]:
     relation = lhs == rhs
     # [O(-h)] - [O(-k)] in D'-coordinates, with [G] the representative of
     # [O(-k)] (their pushforwards agree): e1 - e2 in the triple basis.
-    triple = [calc.class_of(x) for x in ctx.triple_objects()]
-    rows = [list(map(Q, kt.coordinates(c))) for c in triple]
-    kernel3 = IntegerLattice(
-        3,
-        [
-            _int_solution(rows, kt.coordinates(calc.class_of(ctx.names["Ecal"]))),
-            _int_solution(
-                rows,
-                kt.coordinates(
-                    calc.class_of(ctx.names["G"]) + calc.class_of(ctx.names["F"])
-                ),
-            ),
-        ],
-    )
-    member = kernel3.member([1, -1, 0])
+    triple = [kt.coordinates(calc.class_of(x)) for x in ctx.triple_objects()]
+    kernel3 = []
+    for cls in ctx.kernel_classes():
+        coords = integer_solution(triple, kt.coordinates(cls))
+        if coords is None:
+            raise LatticeError("class is not integral over the given basis")
+        kernel3.append(coords)
+    member = IntegerLattice(3, kernel3).member([1, -1, 0])
     ok = relation and member
     return (
         ok,
         "[Ecal] = [F] + [O(-h)]; difference vector lies in the kernel",
         f"relation holds: {relation}; (1,-1,0) in kernel: {member}",
     )
-
-
-def _int_solution(rows: list[list[Q]], target: Sequence[int]) -> list[int]:
-    from .lattice import solve_rational
-
-    sol = solve_rational(rows, list(map(Q, target)))
-    if sol is None or any(c.denominator != 1 for c in sol):
-        raise ConfigError("class is not integral over the given basis")
-    return [int(c) for c in sol]
 
 
 def _check_ext_triple(ctx: Context) -> tuple[bool, str, str]:
@@ -900,18 +891,22 @@ CHECK_NAMES = tuple(c.name for c in REGISTRY)
 
 
 def run_checks(
-    config: Optional[HarnessConfig] = None,
+    config: Union[HarnessConfig, Context, None] = None,
     selection: Optional[Sequence[str]] = None,
 ) -> list[CheckResult]:
-    config = config or default_config()
-    validate_config(config)
+    """Run the selected checks (default: the config's [checks], else all).
+
+    ``config`` may be a Context, whose resolved config is then reused.
+    """
+    ctx = config if isinstance(config, Context) else Context(config or default_config())
+    ctx.resolve()
+    config = ctx.config
     if selection is None:
         selection = config.selection
     if selection is not None:
         unknown = [n for n in selection if n not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown check name(s): {', '.join(unknown)}")
-    ctx = Context(config)
     results: list[CheckResult] = []
     for check in REGISTRY:
         if selection is not None and check.name not in selection:

@@ -8,8 +8,8 @@ integer Gram matrix G of values chi(O(D)) from Geometry.euler_characteristic,
 the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
 props.hrr-vs-cohomology check).  The rational pairing Geometry.hrr_euler on
 Chern characters is only the test oracle these are checked against.
-Sublattices are kept in Hermite normal form, quotients are computed by Smith
-normal form.
+Sublattices are kept in Hermite normal form, integer systems are solved
+against it (integer_solution), and quotients are computed by Smith normal form.
 """
 
 from __future__ import annotations
@@ -30,18 +30,8 @@ class LatticeError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
-
-
 def rational_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    """Invert a square matrix over the rationals by Gaussian elimination."""
+    """Invert a square matrix over the rationals (a test oracle)."""
     n = len(matrix)
     aug = [[Q(v) for v in row] + [Q(1) if i == j else Q(0) for j in range(n)]
            for i, row in enumerate(matrix)]
@@ -84,6 +74,7 @@ def solve_rational(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> Optional[
 
     Returns None when the system has no solution.  The matrix may have more
     columns than rows; all equations are verified against the solution.
+    The test oracle for integer_solution.
     """
     rows = [list(map(Q, r)) for r in matrix]
     m = len(rows)
@@ -172,6 +163,30 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         return []
     h, u = hnf_with_transform(rows)
     return [u[r] for r in range(len(h), m)]
+
+
+def integer_solution(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
+    """An integer row vector x with x * M = target (M's rows = generators), or None.
+
+    Back-substitution against the Hermite normal form H = U*M gives the
+    coordinates y of the target over the rows of H, and x = y * U.  When the
+    rows are independent x is the only solution.
+    """
+    if rows and len(target) != len(rows[0]):
+        raise LatticeError(f"target length {len(target)} != row length {len(rows[0])}")
+    h, u = hnf_with_transform(rows)
+    rest = list(map(int, target))
+    y = []
+    for row in h:
+        col = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(rest[col], row[col])
+        if r:
+            return None
+        y.append(q)
+        rest = [x - q * v for x, v in zip(rest, row)]
+    if any(rest):
+        return None
+    return [sum(c * u[i][j] for i, c in enumerate(y)) for j in range(len(rows))]
 
 
 def smith_normal_form(
@@ -494,16 +509,9 @@ class IntegerLattice:
         return len(self.hnf)
 
     def member(self, vec: Sequence[int]) -> bool:
-        v = list(map(int, vec))
-        if len(v) != self.ambient_rank:
+        if len(vec) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
-        for row in self.hnf:
-            col = next(i for i, x in enumerate(row) if x)
-            if v[col] % row[col] != 0:
-                return False
-            q = v[col] // row[col]
-            v = [x - q * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return self.basis_coordinates(vec) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -535,12 +543,7 @@ class IntegerLattice:
 
     def basis_coordinates(self, vec: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of a vector in the HNF basis, or None."""
-        sol = solve_rational(
-            [list(map(Q, row)) for row in self.hnf], list(map(Q, vec))
-        )
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return [int(c) for c in sol]
+        return integer_solution(self.hnf, vec)
 
     def __str__(self) -> str:
         rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.hnf)
@@ -567,14 +570,12 @@ class LatticeQuotient:
 
 
 def quotient(source: IntegerLattice, kernel: IntegerLattice) -> LatticeQuotient:
-    if not source.contains_lattice(kernel):
-        raise LatticeError("kernel is not contained in the source lattice")
     r = source.rank
     rows = []
     for row in kernel.hnf:
         coords = source.basis_coordinates(row)
         if coords is None:
-            raise LatticeError("kernel generator is not integral over the source")
+            raise LatticeError("kernel is not contained in the source lattice")
         rows.append(coords)
     if not rows:
         invariants: list[int] = []
@@ -584,13 +585,13 @@ def quotient(source: IntegerLattice, kernel: IntegerLattice) -> LatticeQuotient:
     s = len(invariants)
     torsion = tuple(d for d in invariants if d > 1)
     projection = tuple(tuple(v[i][j] for j in range(s, r)) for i in range(r))
-    v_inv = rational_inverse([[Q(x) for x in row] for row in v])
     lift_rows = []
     for j in range(s, r):
-        row = [v_inv[j][i] for i in range(r)]
-        if any(c.denominator != 1 for c in row):
+        # row j of V^-1; V is unimodular, so the solve always succeeds
+        row = integer_solution(v, [1 if i == j else 0 for i in range(r)])
+        if row is None:
             raise LatticeError("non-integral quotient lift")
-        lift_rows.append(tuple(int(c) for c in row))
+        lift_rows.append(tuple(row))
     return LatticeQuotient(
         source=source,
         kernel=kernel,

@@ -20,8 +20,8 @@ from .lattice import (
     KClass,
     LatticeQuotient,
     integer_kernel,
+    integer_solution,
     quotient as lattice_quotient,
-    solve_rational,
 )
 from .calculus import AmbiguityError, Calculus, PreconditionError
 from .expressions import Cone, FormalObject, Sum, pretty, shifted
@@ -47,9 +47,6 @@ class Heart:
 
     def __len__(self) -> int:
         return len(self.simples)
-
-    def coordinate_rows(self, calc: Calculus) -> list[list[int]]:
-        return [list(calc.ktheory.coordinates(c)) for c in self.classes]
 
 
 @dataclass(frozen=True)
@@ -415,17 +412,16 @@ def descend(
     defined and a strong stability function on the image of the cone.
     """
     n = len(heart)
-    simple_rows = [list(map(Q, calc.ktheory.coordinates(c))) for c in heart.classes]
+    simple_rows = [calc.ktheory.coordinates(c) for c in heart.classes]
 
     coords_rows: list[list[int]] = []
     for kc in kernel_classes:
-        target = list(map(Q, calc.ktheory.coordinates(kc)))
-        sol = solve_rational(simple_rows, target)
-        if sol is None or any(c.denominator != 1 for c in sol):
+        sol = integer_solution(simple_rows, calc.ktheory.coordinates(kc))
+        if sol is None:
             raise StabilityError(
                 "kernel class is not an integer combination of the simple classes"
             )
-        coords_rows.append([int(c) for c in sol])
+        coords_rows.append(sol)
     kernel = IntegerLattice(n, coords_rows)
 
     # (1) generation by positive-cone classes: simples lying in the kernel,

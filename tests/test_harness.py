@@ -1,3 +1,6 @@
+import functools
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import quadstab
+from quadstab import harness
 from quadstab.expressions import MAX_DEPTH
 
 from quadstab.harness import (
@@ -233,3 +237,89 @@ class TestDeterminism:
         a = emit_report(full_results, "json", (-1, -1))
         b = emit_report(second_results, "json", (-1, -1))
         assert a == b
+
+
+HOSTILE_CONFIGS = {
+    "not-utf8": b"\xff\xfe[geometry]\ntwist = -1,-1\n",
+    "charge-divides-by-zero": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1/0,1)").encode(),
+    "tilt-without-arguments": DEFAULT_CONFIG_TEXT.replace("tilt B 3", "tilt").encode(),
+    "charge-unknown-heart": DEFAULT_CONFIG_TEXT.replace("Z_up = Atilde", "Z_up = Nowhere").encode(),
+    "duplicate-object": DEFAULT_CONFIG_TEXT.replace("[objects]\n", "[objects]\nG = O()\n").encode(),
+}
+
+
+class TestHostileConfigs:
+    """Every command resolves the whole config first: a bad one exits 2."""
+
+    @pytest.mark.parametrize("command", [["rhom", "O()", "O(h)"], ["check"]], ids=["rhom", "check"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CONFIGS))
+    def test_exits_2_with_an_error_line(self, case, command, tmp_path, capsys):
+        path = tmp_path / "hostile.cfg"
+        path.write_bytes(HOSTILE_CONFIGS[case])
+        assert main(["--config", str(path), *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestOneResolution:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        texts = []
+        real = harness.parse_object
+
+        def counting(text, names=None):
+            texts.append(text)
+            return real(text, names)
+
+        monkeypatch.setattr(harness, "parse_object", counting)
+        return texts
+
+    CONFIG_EXPRESSIONS = [*default_config().objects.values(), "O(-h)", "G", "shift(F,-2)"]
+
+    def test_run_checks_parses_each_config_expression_once(self, parsed):
+        results = run_checks(default_config(), ("heart.B",))
+        assert [r.status for r in results] == ["pass"]
+        assert parsed == self.CONFIG_EXPRESSIONS
+
+    def test_cli_parses_each_config_expression_once(self, parsed, capsys):
+        assert main(["rhom", "O()", "O(h)"]) == 0
+        assert parsed == self.CONFIG_EXPRESSIONS + ["O()", "O(h)"]
+
+    def test_each_config_error_is_written_once(self):
+        source = Path(harness.__file__).read_text(encoding="utf-8")
+        for fragment in (
+            'f"object {name!r}: {exc}"',
+            "expected 'tilt <heart> <position>'",
+            "unknown parent",
+            "bad position",
+            "position {position} out of range",
+            "empty simple",
+            'f"heart {name!r}: {exc}"',
+            "references unknown heart",
+            "values for ",
+        ):
+            assert source.count(fragment) == 1, fragment
+
+
+class TestTracerTargets:
+    """perfbench/tracer.py wraps program functions by name; a rename or a
+    change of kind there silently breaks the traced benchmark run."""
+
+    PROPERTIES = ("harness:Context.names", "harness:Context.hearts", "harness:Context.charges")
+
+    def test_every_target_resolves(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        layers = importlib.import_module("tracer").LAYERS
+        targets = [t for group in layers.values() for t in group]
+        assert set(self.PROPERTIES) <= set(targets)
+        for target in targets:
+            module_name, attr = target.split(":")
+            owner = importlib.import_module(f"quadstab.{module_name}")
+            *cls, member = attr.split(".")
+            if cls:
+                owner = getattr(owner, cls[0])
+            raw = inspect.getattr_static(owner, member)
+            # the tracer re-wraps a cached_property as a plain method
+            assert not isinstance(raw, functools.cached_property), target
+            if target in self.PROPERTIES:
+                assert isinstance(raw, property), target

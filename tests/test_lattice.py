@@ -10,6 +10,7 @@ from quadstab.lattice import (
     LatticeError,
     hnf_with_transform,
     integer_kernel,
+    integer_solution,
     quotient,
     rational_determinant,
     rational_inverse,
@@ -377,3 +378,67 @@ class TestAgainstChernCharacterOracle:
         for _ in range(20):
             x = kt.from_coordinates([rng.randint(-4, 4) for _ in range(8)])
             assert kt.chern(kt.serre_class(x)) == -g.chow_mul(kt.chern(x), ch_omega)
+
+
+class TestIntegerSolution:
+    """integer_solution against the rational oracle solve_rational plus an
+    integrality check, on seeded random systems."""
+
+    @staticmethod
+    def combine(coeffs, rows):
+        return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+    def check(self, rows, target) -> str:
+        """Compare with the oracle; return the kind of system seen."""
+        sol = integer_solution(rows, target)
+        oracle = solve_rational([[Q(v) for v in r] for r in rows], [Q(v) for v in target])
+        if sol is not None:
+            assert self.combine(sol, rows) == list(target)
+        if oracle is None:
+            assert sol is None
+            return "unsolvable"
+        if len(hnf_with_transform(rows)[0]) < len(rows):
+            # dependent rows: solutions are not unique, so only the checks above apply
+            return "dependent"
+        # independent rows: the rational solution is the only one
+        if all(c.denominator == 1 for c in oracle):
+            assert sol == [int(c) for c in oracle]
+            return "integral"
+        assert sol is None
+        return "rational only"
+
+    def test_seeded_against_rational_oracle(self):
+        import random
+
+        rng = random.Random(8128)
+        kinds: dict[str, int] = {}
+
+        def record(kind):
+            kinds[kind] = kinds.get(kind, 0) + 1
+
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            y = [rng.randint(-3, 3) for _ in range(m)]
+            record(self.check(rows, self.combine(y, rows)))
+            record(self.check(rows, [rng.randint(-6, 6) for _ in range(n)]))
+            # doubling a row makes an odd coefficient on it rational only
+            doubled = [[2 * v for v in rows[0]]] + rows[1:]
+            y[0] = 2 * y[0] + 1
+            record(self.check(doubled, self.combine(y, rows)))
+            dependent = rows + [self.combine([rng.randint(-2, 2) for _ in range(m)], rows)]
+            record(self.check(dependent, self.combine(y + [rng.randint(-2, 2)], dependent)))
+        assert set(kinds) == {"unsolvable", "dependent", "integral", "rational only"}
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_dependent_rows_with_only_rational_solutions(self):
+        rows = [[2, 0], [0, 2], [2, 2]]
+        assert solve_rational([[Q(v) for v in r] for r in rows], [Q(1), Q(0)]) is not None
+        assert integer_solution(rows, [1, 0]) is None
+        assert self.combine(integer_solution(rows, [4, 2]), rows) == [4, 2]
+
+    def test_edge_cases(self):
+        assert integer_solution([], [0, 0]) == []
+        assert integer_solution([], [1, 0]) is None
+        with pytest.raises(LatticeError):
+            integer_solution([[1, 2]], [1, 2, 3])
