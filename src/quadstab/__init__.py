@@ -27,7 +27,7 @@ from .expressions import (
     parse_object,
     pretty,
 )
-from .calculus import AmbiguityError, Calculus, PreconditionError, RHomResult
+from .calculus import AmbiguityError, Calculus, PreconditionError, RHomResult, SoundnessError
 from .stability import (
     CentralCharge,
     Heart,
@@ -70,6 +70,7 @@ __all__ = [
     "QuadraticForm",
     "RHomResult",
     "Shift",
+    "SoundnessError",
     "Sum",
     "Zero",
     "check_stability_function",

@@ -16,9 +16,17 @@ RHom between two expression trees is computed by structural recursion:
   RHom(L_e x, L_e y) = RHom(x, y) valid when RHom(x, e) = 0, and (v) Serre
   duality, which transports the query to the other side.
 
+Every graded value, from an atom's cohomology to the answer of rhom, is one
+RHomResult: degreewise lower and upper bounds (GradedDims, the upper one
+possibly unknown) and the Euler number.  Rules give sound bounds, and the
+bounds of one pair are merged; the value is determined when they meet.  The
+memo holds these values and rhom returns them as they are.
+
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
-Gram matrix of the line-bundle basis from Hirzebruch-Riemann-Roch.
+Gram matrix of the line-bundle basis from Hirzebruch-Riemann-Roch.  A broken
+invariant (two bounds of one pair with different Euler numbers, a lower
+bound above an upper one) raises SoundnessError, also under python -O.
 """
 
 from __future__ import annotations
@@ -53,98 +61,96 @@ class PreconditionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+class SoundnessError(Exception):
+    """An internal invariant of the calculus failed; raised also under -O."""
+
+
+@dataclass(frozen=True, slots=True)
 class RHomResult:
-    """Graded Hom value: determined dims, or degreewise bounds, plus Euler."""
+    """Graded Hom value: degreewise lower and upper bounds and the Euler number.
 
-    status: str  # 'determined' | 'ambiguous'
+    `hi` is None when no upper bound is known.  The value is determined when
+    the bounds meet: then `status` is 'determined' and `dims` the common
+    bound; otherwise `status` is 'ambiguous', `dims` None and `bounds` the
+    pair (lo, hi).  Every bound is sound, so merging two results for the
+    same pair keeps the larger lower and the smaller upper bound.
+    """
+
+    lo: GradedDims
+    hi: Optional[GradedDims]
     euler: int
-    dims: Optional[GradedDims] = None
-    bounds: Optional[tuple[GradedDims, Optional[GradedDims]]] = None
-
-    def is_empty(self) -> bool:
-        return self.status == "determined" and self.dims.is_zero()
-
-    def __str__(self) -> str:
-        if self.status == "determined":
-            return str(self.dims)
-        lo, hi = self.bounds
-        return f"ambiguous(euler={self.euler}, lower={lo}, upper={hi})"
-
-
-class _Info:
-    """Internal graded value: exact lower/upper dimension bounds per degree."""
-
-    __slots__ = ("lo", "hi", "euler")
-
-    def __init__(self, lo: dict[int, int], hi: Optional[dict[int, int]], euler: int):
-        self.lo = {d: v for d, v in lo.items() if v}
-        self.hi = None if hi is None else {d: v for d, v in hi.items() if v}
-        self.euler = euler
 
     @staticmethod
-    def exact(dims: GradedDims, euler: int) -> "_Info":
-        data = dict(dims.items())
-        return _Info(data, dict(data), euler)
+    def exact(dims: GradedDims) -> "RHomResult":
+        return RHomResult(dims, dims, dims.euler())
 
     @property
     def determined(self) -> bool:
-        return self.hi is not None and self.lo == self.hi
+        return self.hi is not None and (self.lo is self.hi or self.lo == self.hi)
 
-    def dims(self) -> GradedDims:
-        assert self.determined
-        return GradedDims(self.hi)
+    @property
+    def status(self) -> str:
+        return "determined" if self.determined else "ambiguous"
 
-    def translate(self, t: int) -> "_Info":
-        lo = {d + t: v for d, v in self.lo.items()}
-        hi = None if self.hi is None else {d + t: v for d, v in self.hi.items()}
-        return _Info(lo, hi, self.euler if t % 2 == 0 else -self.euler)
+    @property
+    def dims(self) -> Optional[GradedDims]:
+        return self.hi if self.determined else None
 
-    def dual(self, n: int) -> "_Info":
-        lo = {n - d: v for d, v in self.lo.items()}
-        hi = None if self.hi is None else {n - d: v for d, v in self.hi.items()}
-        return _Info(lo, hi, self.euler if n % 2 == 0 else -self.euler)
+    @property
+    def bounds(self) -> Optional[tuple[GradedDims, Optional[GradedDims]]]:
+        return None if self.determined else (self.lo, self.hi)
 
-    def add(self, other: "_Info") -> "_Info":
-        lo = dict(self.lo)
-        for d, v in other.lo.items():
-            lo[d] = lo.get(d, 0) + v
+    def is_empty(self) -> bool:
+        return self.determined and self.hi.is_zero()
+
+    def __str__(self) -> str:
+        if self.determined:
+            return str(self.hi)
+        return f"ambiguous(euler={self.euler}, lower={self.lo}, upper={self.hi})"
+
+    def translate(self, t: int) -> "RHomResult":
+        lo = self.lo.translate(t)
+        hi = lo if self.hi is self.lo else None if self.hi is None else self.hi.translate(t)
+        return RHomResult(lo, hi, self.euler if t % 2 == 0 else -self.euler)
+
+    def dual(self, n: int) -> "RHomResult":
+        lo = self.lo.dual(n)
+        hi = lo if self.hi is self.lo else None if self.hi is None else self.hi.dual(n)
+        return RHomResult(lo, hi, self.euler if n % 2 == 0 else -self.euler)
+
+    def add(self, other: "RHomResult") -> "RHomResult":
+        lo = self.lo + other.lo
         if self.hi is None or other.hi is None:
             hi = None
+        elif self.hi is self.lo and other.hi is other.lo:
+            hi = lo
         else:
-            hi = dict(self.hi)
-            for d, v in other.hi.items():
-                hi[d] = hi.get(d, 0) + v
-        return _Info(lo, hi, self.euler + other.euler)
+            hi = self.hi + other.hi
+        return RHomResult(lo, hi, self.euler + other.euler)
 
-    def merge(self, other: "_Info") -> "_Info":
+    def merge(self, other: "RHomResult") -> "RHomResult":
         """Intersect two sound bounds for the same value."""
-        assert self.euler == other.euler, "inconsistent Euler numbers"
-        degrees = set(self.lo) | set(other.lo)
-        lo = {d: max(self.lo.get(d, 0), other.lo.get(d, 0)) for d in degrees}
+        if self.euler != other.euler:
+            raise SoundnessError(f"inconsistent Euler numbers: {self.euler} vs {other.euler}")
+        a, b = self.lo, other.lo
+        lo = GradedDims({d: max(a.get(d), b.get(d)) for d in a.degrees() | b.degrees()})
         if self.hi is None:
             hi = other.hi
         elif other.hi is None:
             hi = self.hi
         else:
-            hi = {
-                d: min(self.hi.get(d, 0), other.hi.get(d, 0))
-                for d in set(self.hi) | set(other.hi)
-            }
+            a, b = self.hi, other.hi
+            hi = GradedDims({d: min(a.get(d), b.get(d)) for d in a.degrees() & b.degrees()})
         if hi is not None:
             for d, v in lo.items():
-                assert v <= hi.get(d, 0), (
-                    f"contradictory bounds in degree {d}: {v} > {hi.get(d, 0)}"
-                )
-        return _Info(lo, hi, self.euler)
+                if v > hi.get(d):
+                    raise SoundnessError(
+                        f"contradictory bounds in degree {d}: {v} > {hi.get(d)}"
+                    )
+        return RHomResult(lo, hi, self.euler)
 
 
-def _result_of(info: _Info) -> RHomResult:
-    if info.determined:
-        return RHomResult("determined", info.euler, dims=GradedDims(info.hi))
-    lo = GradedDims(info.lo)
-    hi = None if info.hi is None else GradedDims(info.hi)
-    return RHomResult("ambiguous", info.euler, bounds=(lo, hi))
+_ZERO = RHomResult.exact(GradedDims())
 
 
 _H = DivisorClass(0, 1, 0)
@@ -157,7 +163,7 @@ class Calculus:
     def __init__(self, geometry: Optional[Geometry] = None):
         self.geometry = geometry or Geometry()
         self.ktheory = KTheory(self.geometry)
-        self._rhom_memo: dict[tuple, _Info] = {}
+        self._rhom_memo: dict[tuple, RHomResult] = {}
         self._stack: set[tuple] = set()
         self._class_memo: dict[FormalObject, KClass] = {}
         self._pres_memo: dict[FormalObject, tuple] = {}
@@ -267,31 +273,25 @@ class Calculus:
 
     def _determined(self, X: FormalObject, Y: FormalObject, who: str) -> GradedDims:
         r = self.rhom(X, Y)
-        if r.status != "determined":
-            raise PreconditionError(
-                f"{who}: RHom({pretty(X)}, {pretty(Y)}) is {r}"
-            )
+        if not r.determined:
+            raise PreconditionError(f"{who}: RHom({pretty(X)}, {pretty(Y)}) is {r}")
         return r.dims
 
     def _check_exceptional(self, e: FormalObject, who: str) -> None:
         dims = self._determined(e, e, who)
         if dims != GradedDims.single(0, 1):
-            raise PreconditionError(
-                f"{who}: {pretty(e)} is not exceptional, RHom(e,e) = {dims}"
-            )
+            raise PreconditionError(f"{who}: {pretty(e)} is not exceptional, RHom(e,e) = {dims}")
 
-    def _evaluation_source(self, e: FormalObject, dims: GradedDims) -> FormalObject:
+    @staticmethod
+    def _copies(e: FormalObject, dims: GradedDims, sign: int) -> FormalObject:
+        """The sum of dim copies of e[sign * deg] over the degrees of dims.
+
+        sign -1 gives the source of the evaluation map RHom(e, x) (x) e -> x,
+        sign +1 the target of the coevaluation x -> RHom(x, e)^* (x) e.
+        """
         copies: list[FormalObject] = []
         for deg, dim in dims.items():
-            copies.extend([shifted(e, -deg)] * dim)
-        if len(copies) == 1:
-            return copies[0]
-        return Sum(tuple(copies))
-
-    def _coevaluation_target(self, e: FormalObject, dims: GradedDims) -> FormalObject:
-        copies: list[FormalObject] = []
-        for deg, dim in dims.items():
-            copies.extend([shifted(e, deg)] * dim)
+            copies.extend([shifted(e, sign * deg)] * dim)
         if len(copies) == 1:
             return copies[0]
         return Sum(tuple(copies))
@@ -325,7 +325,7 @@ class Calculus:
             and x.mutation is not None
             and x.mutation.direction == "right"
             and x.mutation.through == e
-            and self._is_empty(e, x.mutation.operand)
+            and self.rhom(e, x.mutation.operand).is_empty()
         ):
             # inverse equivalence: L_e R_e y = y for y right-orthogonal to e;
             # the stored cone is R_e y shifted by one
@@ -377,13 +377,13 @@ class Calculus:
             else:
                 prov = x.provenance
                 if not (
-                    self._is_empty(x.source, e) and self._is_empty(x.target, e)
+                    self.rhom(x.source, e).is_empty() and self.rhom(x.target, e).is_empty()
                 ):
                     # the functor image of the defining map may vanish, so the
                     # distributed cone is not certified canonical
                     prov = "unspecified"
                 return self.normalize(Cone(src, tgt, prov, tag))
-        return Cone(self._evaluation_source(e, r), x, "evaluation", tag)
+        return Cone(self._copies(e, r, -1), x, "evaluation", tag)
 
     def mutate_right(self, x: FormalObject, e: FormalObject) -> FormalObject:
         x = self.normalize(x)
@@ -412,17 +412,13 @@ class Calculus:
             and x.mutation is not None
             and x.mutation.direction == "left"
             and x.mutation.through == e
-            and self._is_empty(x.mutation.operand, e)
+            and self.rhom(x.mutation.operand, e).is_empty()
         ):
             # inverse equivalence: R_e L_e y = y for y left-orthogonal to e
             return x.mutation.operand
         tag = Mutation("right", e, x)
-        cone = Cone(x, self._coevaluation_target(e, r), "evaluation", tag)
+        cone = Cone(x, self._copies(e, r, +1), "evaluation", tag)
         return shifted(cone, -1)
-
-    def _is_empty(self, X: FormalObject, Y: FormalObject) -> bool:
-        r = self.rhom(X, Y)
-        return r.is_empty()
 
     # ------------------------------------------------------------------
     # RHom engine
@@ -433,13 +429,12 @@ class Calculus:
         Y = self.normalize(Y)
         info = self._info(X, Y)
         if info is None:
-            euler = self.ktheory.euler_pairing(self.class_of(X), self.class_of(Y))
-            info = _Info({}, None, euler)
-        return _result_of(info)
+            info = RHomResult(GradedDims(), None, self._euler(X, Y))
+        return info
 
     def _info(
         self, X: FormalObject, Y: FormalObject, transport: bool = True
-    ) -> Optional[_Info]:
+    ) -> Optional[RHomResult]:
         """Best knowledge of RHom(X, Y); None when the pair is in progress.
 
         `transport` allows one Serre-duality hop for this pair; the hop sets
@@ -448,7 +443,7 @@ class Calculus:
         on their own).
         """
         if isinstance(X, Zero) or isinstance(Y, Zero):
-            return _Info.exact(GradedDims.zero(), 0)
+            return _ZERO
         if isinstance(X, Shift):
             sub = self._info(X.child, Y, transport)
             return None if sub is None else sub.translate(X.n)
@@ -456,7 +451,7 @@ class Calculus:
             sub = self._info(X, Y.child, transport)
             return None if sub is None else sub.translate(-Y.n)
         if isinstance(X, Sum):
-            total = _Info.exact(GradedDims.zero(), 0)
+            total = _ZERO
             for c in X.children:
                 sub = self._info(c, Y, transport)
                 if sub is None:
@@ -464,7 +459,7 @@ class Calculus:
                 total = total.add(sub)
             return total
         if isinstance(Y, Sum):
-            total = _Info.exact(GradedDims.zero(), 0)
+            total = _ZERO
             for c in Y.children:
                 sub = self._info(X, c, transport)
                 if sub is None:
@@ -492,7 +487,7 @@ class Calculus:
 
     def _core_info(
         self, X: FormalObject, Y: FormalObject, transport: bool
-    ) -> Optional[_Info]:
+    ) -> Optional[RHomResult]:
         if isinstance(X, (LineAtom, PushAtom)) and isinstance(Y, (LineAtom, PushAtom)):
             return self._atom_info(X, Y)
 
@@ -501,19 +496,21 @@ class Calculus:
         # defining orthogonality of mutations
         ortho = self._mutation_orthogonality(X, Y)
         if ortho:
-            assert euler == 0, "orthogonal pair with nonzero Euler number"
-            return _Info.exact(GradedDims.zero(), 0)
+            if euler != 0:
+                raise SoundnessError("orthogonal pair with nonzero Euler number")
+            return _ZERO
 
-        best: Optional[_Info] = None
+        best: Optional[RHomResult] = None
 
-        def consider(candidate: Optional[_Info]) -> Optional[_Info]:
+        def consider(candidate: Optional[RHomResult]) -> Optional[RHomResult]:
             nonlocal best
             if candidate is None:
                 return None
-            assert candidate.euler == euler, (
-                f"Euler mismatch for RHom({pretty(X)}, {pretty(Y)}): "
-                f"{candidate.euler} vs {euler}"
-            )
+            if candidate.euler != euler:
+                raise SoundnessError(
+                    f"Euler mismatch for RHom({pretty(X)}, {pretty(Y)}): "
+                    f"{candidate.euler} vs {euler}"
+                )
             best = candidate if best is None else best.merge(candidate)
             return best if best.determined else None
 
@@ -538,25 +535,22 @@ class Calculus:
                 return done
 
         if best is None:
-            best = _Info({}, None, euler)
+            best = RHomResult(GradedDims(), None, euler)
         return best
 
     # -- base cases -----------------------------------------------------
 
-    def _atom_info(self, X, Y) -> _Info:
+    def _atom_info(self, X, Y) -> RHomResult:
         g = self.geometry
         if isinstance(X, LineAtom) and isinstance(Y, LineAtom):
-            dims = g.threefold_cohomology(Y.divisor - X.divisor)
-            return _Info.exact(dims, dims.euler())
+            return RHomResult.exact(g.threefold_cohomology(Y.divisor - X.divisor))
         if isinstance(X, LineAtom) and isinstance(Y, PushAtom):
-            dims = g.surface_cohomology(Y.beta - g.restrict_to_E(X.divisor))
-            return _Info.exact(dims, dims.euler())
+            return RHomResult.exact(g.surface_cohomology(Y.beta - g.restrict_to_E(X.divisor)))
         if isinstance(X, PushAtom) and isinstance(Y, LineAtom):
             # Serre duality: transport to maps out of the line bundle
             omega = g.restrict_to_E(g.canonical_class())
             twist = X.beta + omega - g.restrict_to_E(Y.divisor)
-            dims = g.surface_cohomology(twist).dual(3)
-            return _Info.exact(dims, dims.euler())
+            return RHomResult.exact(g.surface_cohomology(twist).dual(3))
         # both on the surface: resolve the left one by line bundles; the
         # result R fits the triangle R -> A -> B, determined when no degree
         # carries both sides.
@@ -566,12 +560,12 @@ class Calculus:
         euler = a.euler() - b.euler()
         lo: dict[int, int] = {}
         hi: dict[int, int] = {}
-        for d in set(a.degrees()) | {d + 1 for d in b.degrees()}:
+        for d in a.degrees() | {d + 1 for d in b.degrees()}:
             r_here = min(a.get(d), b.get(d))
             r_prev = min(a.get(d - 1), b.get(d - 1))
             lo[d] = (a.get(d) - r_here) + (b.get(d - 1) - r_prev)
             hi[d] = a.get(d) + b.get(d - 1)
-        return _Info(lo, hi, euler)
+        return RHomResult(GradedDims(lo), GradedDims(hi), euler)
 
     # -- mutation identities ----------------------------------------------
 
@@ -592,7 +586,7 @@ class Calculus:
                 return True
         return False
 
-    def _adjunction_info(self, X: FormalObject, Y: FormalObject) -> Optional[_Info]:
+    def _adjunction_info(self, X: FormalObject, Y: FormalObject) -> Optional[RHomResult]:
         if not (isinstance(X, Cone) and isinstance(Y, Cone)):
             return None
         mx, my = X.mutation, Y.mutation
@@ -603,12 +597,12 @@ class Calculus:
         if mx.direction == "left":
             # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0
             side = self._info(mx.operand, mx.through)
-            if side is None or not (side.determined and not side.lo):
+            if side is None or not side.is_empty():
                 return None
             return self._info(mx.operand, my.operand)
         # RHom(R_e x, R_e y) = RHom(x, y) provided RHom(e, y) = 0
         side = self._info(my.through, my.operand)
-        if side is None or not (side.determined and not side.lo):
+        if side is None or not side.is_empty():
             return None
         return self._info(mx.operand, my.operand)
 
@@ -622,15 +616,8 @@ class Calculus:
         if isinstance(x, Cone) and x.mutation and x.mutation.direction == "left":
             e, operand = x.mutation.through, x.mutation.operand
             r = self.rhom(e, operand)
-            if r.status == "determined" and not r.dims.is_zero():
-                forms.append(
-                    Cone(
-                        self._evaluation_source(e, r.dims),
-                        operand,
-                        "evaluation",
-                        x.mutation,
-                    )
-                )
+            if r.determined and not r.is_empty():
+                forms.append(Cone(self._copies(e, r.dims, -1), operand, "evaluation", x.mutation))
             if isinstance(operand, Cone):
                 try:
                     alt = self._mutate_left(e, operand)
@@ -638,117 +625,73 @@ class Calculus:
                     alt = None
                 if alt is not None and isinstance(alt, Cone):
                     forms.append(alt)
-        seen: list[FormalObject] = []
-        for f in forms:
-            if f not in seen:
-                seen.append(f)
-        out = tuple(seen)
+        out = tuple(dict.fromkeys(forms))
         self._pres_memo[x] = out
         return out
 
     # -- LES combination -----------------------------------------------------
 
-    def _rank_bounds(
-        self,
-        source: _Info,
-        target: _Info,
-        forced_degree: Optional[int],
-    ) -> Optional[dict[int, tuple[int, int]]]:
-        if source.hi is None or target.hi is None:
-            return None
-        ranks: dict[int, tuple[int, int]] = {}
-        for d in set(source.hi) | set(target.hi):
-            rhi = min(source.hi.get(d, 0), target.hi.get(d, 0))
-            rlo = 0
-            if d == forced_degree and rhi >= 1:
-                rlo = 1
-            ranks[d] = (rlo, rhi)
-        return ranks
+    def _expand_second(self, X: FormalObject, cone: Cone, euler: int) -> Optional[RHomResult]:
+        """LES for RHom(X, Cone(S -> T)) over the maps Hom(X,S) -> Hom(X,T).
 
-    def _refinement_degree_second(
-        self, X: FormalObject, cone: Cone
-    ) -> Optional[int]:
-        """Degree where the map Hom(X,S) -> Hom(X,T) has rank >= 1.
-
-        Applies when X equals the cone source up to shift and the triangle
-        map is canonical-nonzero: the identity maps to it.
+        When X is S[m], the identity of S maps to the triangle map, so the
+        map has rank >= 1 in degree -m.
         """
-        if cone.provenance == "unspecified":
-            return None
+        info_s = self._info(X, cone.source)
+        info_t = self._info(X, cone.target)
         m = self._same_up_to_shift(X, cone.source)
-        return None if m is None else -m
+        return self._combine_les(cone, info_s, info_t, None if m is None else -m, +1, euler)
 
-    def _refinement_degree_first(
-        self, cone: Cone, Y: FormalObject
-    ) -> Optional[int]:
-        """Degree where the map Hom(T,Y) -> Hom(S,Y) has rank >= 1."""
-        if cone.provenance == "unspecified":
-            return None
-        m = self._same_up_to_shift(Y, cone.target)
-        return None if m is None else m
+    def _expand_first(self, cone: Cone, Y: FormalObject, euler: int) -> Optional[RHomResult]:
+        """LES for RHom(Cone(S -> T), Y) over the maps Hom(T,Y) -> Hom(S,Y).
+
+        When Y is T[m], the map has rank >= 1 in degree m.
+        """
+        info_t = self._info(cone.target, Y)
+        info_s = self._info(cone.source, Y)
+        forced = self._same_up_to_shift(Y, cone.target)
+        return self._combine_les(cone, info_s, info_t, forced, -1, euler)
 
     @staticmethod
     def _combine_les(
-        source: _Info,
-        target: _Info,
-        ranks: Optional[dict[int, tuple[int, int]]],
+        cone: Cone,
+        source: Optional[RHomResult],
+        target: Optional[RHomResult],
+        forced_degree: Optional[int],
         source_offset: int,
         euler: int,
-    ) -> _Info:
+    ) -> Optional[RHomResult]:
         """dims_i = coker(rank at i) + ker(rank at i + source_offset side).
 
         Computes (target_i - r_i) + (source_{i+off} - r_{i+off}) with interval
         arithmetic; `source_offset` is +1 for a cone in the second argument
-        and -1 for a cone in the first argument.
+        and -1 for a cone in the first argument.  Each rank lies between 0
+        and min(source_d, target_d); in the forced degree it is at least 1
+        when the triangle map is canonical and both sides are determined.
         """
-        if ranks is None or source.hi is None or target.hi is None:
-            return _Info({}, None, euler)
-        degrees = set()
-        for d in target.hi:
-            degrees.add(d)
-        for d in source.hi:
-            degrees.add(d - source_offset)
+        if source is None or target is None:
+            return None
+        if source.hi is None or target.hi is None:
+            return RHomResult(GradedDims(), None, euler)
+        if cone.provenance == "unspecified" or not (source.determined and target.determined):
+            forced_degree = None
+        ranks: dict[int, tuple[int, int]] = {}
+        for d in source.hi.degrees() | target.hi.degrees():
+            rhi = min(source.hi.get(d), target.hi.get(d))
+            ranks[d] = (1 if d == forced_degree and rhi >= 1 else 0, rhi)
+        degrees = target.hi.degrees() | {d - source_offset for d in source.hi.degrees()}
         lo: dict[int, int] = {}
         hi: dict[int, int] = {}
         for i in degrees:
             r_here = ranks.get(i, (0, 0))
             r_next = ranks.get(i + source_offset, (0, 0))
-            t_lo, t_hi = target.lo.get(i, 0), target.hi.get(i, 0)
-            s_lo = source.lo.get(i + source_offset, 0)
-            s_hi = source.hi.get(i + source_offset, 0)
-            lo[i] = max(0, t_lo - r_here[1]) + max(0, s_lo - r_next[1])
-            hi[i] = (t_hi - r_here[0]) + (s_hi - r_next[0])
-        return _Info(lo, hi, euler)
+            s_lo = source.lo.get(i + source_offset)
+            s_hi = source.hi.get(i + source_offset)
+            lo[i] = max(0, target.lo.get(i) - r_here[1]) + max(0, s_lo - r_next[1])
+            hi[i] = (target.hi.get(i) - r_here[0]) + (s_hi - r_next[0])
+        return RHomResult(GradedDims(lo), GradedDims(hi), euler)
 
-    def _expand_second(self, X: FormalObject, cone: Cone, euler: int) -> Optional[_Info]:
-        """LES for RHom(X, Cone(S -> T)) over the maps Hom(X,S) -> Hom(X,T)."""
-        info_s = self._info(X, cone.source)
-        info_t = self._info(X, cone.target)
-        if info_s is None or info_t is None:
-            return None
-        forced = None
-        d = self._refinement_degree_second(X, cone)
-        if d is not None and info_s.determined and info_t.determined:
-            # identity-tracking: rank >= 1 there; with a 1-dimensional target
-            # the rank is forced outright
-            forced = d
-        ranks = self._rank_bounds(info_s, info_t, forced)
-        return self._combine_les(info_s, info_t, ranks, +1, euler)
-
-    def _expand_first(self, cone: Cone, Y: FormalObject, euler: int) -> Optional[_Info]:
-        """LES for RHom(Cone(S -> T), Y) over the maps Hom(T,Y) -> Hom(S,Y)."""
-        info_t = self._info(cone.target, Y)
-        info_s = self._info(cone.source, Y)
-        if info_s is None or info_t is None:
-            return None
-        forced = None
-        d = self._refinement_degree_first(cone, Y)
-        if d is not None and info_s.determined and info_t.determined:
-            forced = d
-        ranks = self._rank_bounds(info_t, info_s, forced)
-        return self._combine_les(info_s, info_t, ranks, -1, euler)
-
-    def _serre_transport(self, X: FormalObject, Y: FormalObject) -> Optional[_Info]:
+    def _serre_transport(self, X: FormalObject, Y: FormalObject) -> Optional[RHomResult]:
         omega = self.geometry.canonical_class()
         twisted = self.normalize(self.tensor_line(X, omega))
         sub = self._info(Y, twisted, transport=False)
@@ -758,12 +701,14 @@ class Calculus:
     # predicates
     # ------------------------------------------------------------------
 
-    def is_exceptional(self, x: FormalObject) -> bool:
-        x = self.normalize(x)
+    def _self_dims(self, x: FormalObject) -> GradedDims:
         r = self.rhom(x, x)
-        if r.status != "determined":
+        if not r.determined:
             raise AmbiguityError(f"RHom(x, x) ambiguous for {pretty(x)}: {r}")
-        return r.dims == GradedDims.single(0, 1)
+        return r.dims
+
+    def is_exceptional(self, x: FormalObject) -> bool:
+        return self._self_dims(self.normalize(x)) == GradedDims.single(0, 1)
 
     def is_semiorthogonal(self, collection: Sequence[FormalObject]) -> "SemiorthReport":
         objects = [self.normalize(x) for x in collection]
@@ -772,7 +717,7 @@ class Calculus:
         for j in range(len(objects)):
             for i in range(j):
                 r = self.rhom(objects[j], objects[i])
-                if r.status != "determined":
+                if not r.determined:
                     ambiguous.append((j, i, str(r)))
                 elif not r.dims.is_zero():
                     violations.append((j, i, str(r.dims)))
@@ -798,7 +743,7 @@ class Calculus:
                 if i == j:
                     continue
                 r = self.rhom(objects[i], objects[j])
-                if r.status != "determined":
+                if not r.determined:
                     ambiguous.append((i, j, str(r)))
                     continue
                 for deg, dim in r.dims.items():
@@ -813,10 +758,7 @@ class Calculus:
 
     def is_spherical(self, x: FormalObject, n: int) -> bool:
         x = self.normalize(x)
-        r = self.rhom(x, x)
-        if r.status != "determined":
-            raise AmbiguityError(f"RHom(x, x) ambiguous for {pretty(x)}: {r}")
-        if r.dims != GradedDims({0: 1, n: 1}):
+        if self._self_dims(x) != GradedDims({0: 1, n: 1}):
             return False
         cls = self.class_of(x)
         return self.ktheory.serre_class(cls) == cls.scale((-1) ** (n % 2))
@@ -847,7 +789,7 @@ class Calculus:
                     (self.rhom(X, probe), self.rhom(Y, probe), f"RHom(-, {pretty(probe)})"),
                 )
                 for a, b, desc in pairs:
-                    if a.status != "determined" or b.status != "determined":
+                    if not (a.determined and b.determined):
                         ambiguous.append(desc)
                     elif a.dims != b.dims:
                         mismatches.append(f"{desc}: {a.dims} != {b.dims}")

@@ -159,70 +159,79 @@ ONE = ChowElement.constant(1)
 class GradedDims:
     """Finite map degree -> dimension of a graded vector space.
 
-    Zero dimensions are never stored; the empty map is the zero space.
+    Stored as a dict that holds no zero dimension, so the empty map is the
+    zero space and two maps are equal whatever order they were built in;
+    items(), str() and repr() list the degrees in increasing order.  The
+    constructor rejects a negative dimension.  translate, dual and + cannot
+    make a zero or a negative entry, so they do not check again.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_dims",)
 
     def __init__(self, data: Optional[Mapping[int, int]] = None):
-        pairs = []
-        for deg, dim in sorted((data or {}).items()):
+        dims = {}
+        for deg, dim in (data or {}).items():
             if dim < 0:
                 raise GeometryError(f"negative dimension {dim} in degree {deg}")
             if dim:
-                pairs.append((int(deg), int(dim)))
-        self._pairs = tuple(pairs)
+                dims[int(deg)] = int(dim)
+        self._dims = dims
 
     @staticmethod
-    def zero() -> "GradedDims":
-        return GradedDims()
+    def _of(dims: dict[int, int]) -> "GradedDims":
+        """Wrap a dict of positive dimensions that no one else holds."""
+        out = object.__new__(GradedDims)
+        out._dims = dims
+        return out
 
     @staticmethod
     def single(deg: int, dim: int = 1) -> "GradedDims":
         return GradedDims({deg: dim})
 
-    def items(self):
-        return self._pairs
+    def items(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self._dims.items()))
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(deg for deg, _ in self._pairs)
+    def degrees(self):
+        """The degrees of nonzero dimension, as a set-like view in no order."""
+        return self._dims.keys()
 
     def get(self, deg: int) -> int:
-        for d, v in self._pairs:
-            if d == deg:
-                return v
-        return 0
+        return self._dims.get(deg, 0)
 
     def is_zero(self) -> bool:
-        return not self._pairs
+        return not self._dims
 
     def euler(self) -> int:
-        return sum(v if d % 2 == 0 else -v for d, v in self._pairs)
+        return sum(v if d % 2 == 0 else -v for d, v in self._dims.items())
 
     def translate(self, t: int) -> "GradedDims":
-        return GradedDims({d + t: v for d, v in self._pairs})
+        return GradedDims._of({d + t: v for d, v in self._dims.items()})
 
     def dual(self, n: int) -> "GradedDims":
         """Dims of the dual space placed so degree i maps to n - i."""
-        return GradedDims({n - d: v for d, v in self._pairs})
+        return GradedDims._of({n - d: v for d, v in self._dims.items()})
 
     def __add__(self, other: "GradedDims") -> "GradedDims":
-        out = {d: v for d, v in self._pairs}
-        for d, v in other._pairs:
+        if not other._dims:
+            return self
+        if not self._dims:
+            return other
+        out = dict(self._dims)
+        for d, v in other._dims.items():
             out[d] = out.get(d, 0) + v
-        return GradedDims(out)
+        return GradedDims._of(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GradedDims) and self._pairs == other._pairs
+        return isinstance(other, GradedDims) and self._dims == other._dims
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(frozenset(self._dims.items()))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{d}: {v}" for d, v in self._pairs) + "}"
+        return "{" + ", ".join(f"{d}: {v}" for d, v in self.items()) + "}"
 
     def __repr__(self) -> str:
-        return f"GradedDims({dict(self._pairs)})"
+        return f"GradedDims({dict(self.items())})"
 
 
 def _p1_cohomology(n: int) -> dict[int, int]:
@@ -232,6 +241,13 @@ def _p1_cohomology(n: int) -> dict[int, int]:
     if n <= -2:
         return {1: -n - 1}
     return {}
+
+
+def _add_surface_cohomology(dims: dict[int, int], s: SurfaceDivisor, shift: int) -> None:
+    """Add the cohomology of O_E(s), moved up by `shift` degrees, into `dims`."""
+    for i, di in _p1_cohomology(s.d).items():
+        for j, dj in _p1_cohomology(s.e).items():
+            dims[i + j + shift] = dims.get(i + j + shift, 0) + di * dj
 
 
 class Geometry:
@@ -356,10 +372,8 @@ class Geometry:
     @staticmethod
     def surface_cohomology(s: SurfaceDivisor) -> GradedDims:
         dims: dict[int, int] = {}
-        for i, di in _p1_cohomology(s.d).items():
-            for j, dj in _p1_cohomology(s.e).items():
-                dims[i + j] = dims.get(i + j, 0) + di * dj
-        return GradedDims(dims)
+        _add_surface_cohomology(dims, s, 0)
+        return GradedDims._of(dims)
 
     def pushforward_decomposition(
         self, D: DivisorClass
@@ -379,12 +393,10 @@ class Geometry:
 
     def threefold_cohomology(self, D: DivisorClass) -> GradedDims:
         level, summands = self.pushforward_decomposition(D)
-        if level is None:
-            return GradedDims.zero()
-        out = GradedDims.zero()
+        dims: dict[int, int] = {}
         for s in summands:
-            out = out + self.surface_cohomology(s)
-        return out.translate(level)
+            _add_surface_cohomology(dims, s, level)
+        return GradedDims._of(dims)
 
     # -- Riemann-Roch ---------------------------------------------------------
 

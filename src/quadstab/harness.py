@@ -44,11 +44,12 @@ from .expressions import (
     parse_object,
     pretty,
 )
-from .calculus import Calculus, PreconditionError
+from .calculus import AmbiguityError, Calculus, PreconditionError
 from .stability import (
     CentralCharge,
     Heart,
     QuadraticForm,
+    StabilityError,
     check_weak_stability_condition,
     descend,
     make_heart,
@@ -239,7 +240,8 @@ class Context:
     charges, which raise ConfigError for a bad config.  Named objects are
     normalized and hearts built from the resolved config, lazily: at twists
     other than the default one the golden mutation objects need not exist,
-    and the checks that would use them are skipped.
+    and the checks that would use them are skipped.  Hearts are built once:
+    when the build fails, every read of hearts raises that same error.
     """
 
     def __init__(self, config: HarnessConfig):
@@ -249,7 +251,7 @@ class Context:
         self.kt = self.calc.ktheory
         self._resolved: Optional[ResolvedConfig] = None
         self._names: Optional[dict[str, FormalObject]] = None
-        self._hearts: Optional[dict[str, Heart]] = None
+        self._hearts: Union[dict[str, Heart], Exception, None] = None
         self._descent_cache = None
 
     def resolve(self) -> ResolvedConfig:
@@ -269,12 +271,17 @@ class Context:
     def hearts(self) -> dict[str, Heart]:
         if self._hearts is None:
             hearts: dict[str, Heart] = {}
-            for name, spec in self.resolve().hearts.items():
-                if isinstance(spec, TiltSpec):
-                    hearts[name] = tilt_at(self.calc, hearts[spec.parent], spec.index)
-                else:
-                    hearts[name] = make_heart(self.calc, spec)
-            self._hearts = hearts
+            try:
+                for name, spec in self.resolve().hearts.items():
+                    if isinstance(spec, TiltSpec):
+                        hearts[name] = tilt_at(self.calc, hearts[spec.parent], spec.index)
+                    else:
+                        hearts[name] = make_heart(self.calc, spec)
+                self._hearts = hearts
+            except (AmbiguityError, PreconditionError, StabilityError) as exc:
+                self._hearts = exc  # the build is deterministic: keep the failure
+        if isinstance(self._hearts, Exception):
+            raise self._hearts.with_traceback(None)  # do not chain every read's frames
         return self._hearts
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Optional, Sequence, Union
 
 from .geometry import GradedDims, Q
@@ -23,12 +24,25 @@ from .lattice import (
     integer_solution,
     quotient as lattice_quotient,
 )
-from .calculus import AmbiguityError, Calculus, PreconditionError
+from .calculus import AmbiguityError, Calculus, PreconditionError, SoundnessError
 from .expressions import Cone, FormalObject, Sum, pretty, shifted
 
-INFINITY = float("inf")
 
-Slope = Union[Fraction, float]
+@total_ordering
+class _Infinity:
+    """The slope of a charge on the real axis: above every rational number,
+    equal only to itself, printed as inf."""
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "inf"
+
+
+INFINITY = _Infinity()
+
+Slope = Union[Fraction, _Infinity]
 
 
 class StabilityError(Exception):
@@ -230,9 +244,7 @@ def hn_filtration(
         unit[idx] = 1
         mu = slope(Z, unit)
         groups.setdefault(mu, {})[idx] = mult
-    def sort_key(mu: Slope):
-        return (0 if mu == INFINITY else 1, -mu if mu != INFINITY else 0)
-    return [(mu, groups[mu]) for mu in sorted(groups, key=sort_key)]
+    return [(mu, groups[mu]) for mu in sorted(groups, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +302,8 @@ def tilt_at(calc: Calculus, heart: Heart, j: int) -> Heart:
     total = classes[0]
     for c in classes[1:]:
         total = total + c
-    assert total == expected, "tilt class bookkeeping failed"
+    if total != expected:
+        raise SoundnessError("tilt class bookkeeping failed")
     return tilted
 
 

@@ -5,7 +5,12 @@ quotes; the engine must reproduce each one exactly and with determined
 status.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +24,8 @@ from quadstab.expressions import (
     Zero,
     parse_object,
 )
-from quadstab.calculus import Calculus, PreconditionError
-from quadstab.harness import _corpus
+from quadstab.calculus import Calculus, PreconditionError, RHomResult, SoundnessError
+from quadstab.harness import Context, _corpus, default_config
 
 D = DivisorClass
 S = SurfaceDivisor
@@ -407,3 +412,115 @@ class TestMemoIndependence:
         assert reverse == fresh
         assert [hash(x) for x in objects] == hashes
         assert len(set(objects)) > 50
+
+
+class TestRHomResult:
+    """Status, dims and bounds follow from the two bounds lo and hi."""
+
+    def test_determined_when_the_bounds_meet(self):
+        r = RHomResult(GradedDims({1: 1, 3: 1}), GradedDims({3: 1, 1: 1}), 2)
+        assert r.status == "determined" and r.determined
+        assert r.dims == GradedDims({1: 1, 3: 1}) and r.bounds is None
+        assert not r.is_empty()
+
+    def test_ambiguous_when_they_differ_or_hi_is_unknown(self):
+        r = RHomResult(GradedDims({0: 3}), GradedDims({0: 4, 1: 1}), 3)
+        assert r.status == "ambiguous" and not r.determined
+        assert r.dims is None and r.bounds == (GradedDims({0: 3}), GradedDims({0: 4, 1: 1}))
+        unknown = RHomResult(GradedDims(), None, 5)
+        assert unknown.status == "ambiguous" and unknown.bounds == (GradedDims(), None)
+        assert not unknown.is_empty()
+
+    def test_exact_and_empty(self):
+        assert RHomResult.exact(GradedDims({1: 2})) == RHomResult(GradedDims({1: 2}), GradedDims({1: 2}), -2)
+        assert RHomResult.exact(GradedDims()).is_empty()
+        assert not RHomResult(GradedDims(), GradedDims({0: 1}), 0).is_empty()
+
+    def test_equality(self):
+        a = RHomResult(GradedDims({0: 1}), GradedDims({0: 1, 2: 1}), 1)
+        assert a == RHomResult(GradedDims({0: 1}), GradedDims({2: 1, 0: 1}), 1)
+        assert a != RHomResult(GradedDims({0: 1}), GradedDims({0: 1, 2: 1}), 2)
+        assert a != RHomResult(GradedDims({0: 1}), None, 1)
+        assert hash(a) == hash(RHomResult(GradedDims({0: 1}), GradedDims({2: 1, 0: 1}), 1))
+
+    def test_str_as_recorded(self, ctx):
+        # strings of the same queries before the value type had lo/hi fields
+        determined = ctx.calc.rhom(ctx.obj("O(-h)"), ctx.obj("shift(F,-2)"))
+        assert str(determined) == "{1: 1, 3: 1}"
+        ambiguous = ctx.calc.rhom(ctx.obj("OE(0,0)"), ctx.obj("OE(1,1)"))
+        assert str(ambiguous) == "ambiguous(euler=3, lower={0: 3}, upper={0: 4, 1: 1})"
+        assert str(RHomResult(GradedDims(), None, 5)) == "ambiguous(euler=5, lower={}, upper=None)"
+
+    def test_rhom_returns_the_memoized_value(self, ctx):
+        X, Y = ctx.obj("O(-h)"), ctx.names["Ecal"]
+        assert ctx.calc.rhom(X, Y) is ctx.calc.rhom(X, Y)
+
+    def test_merge_intersects_the_bounds(self):
+        a = RHomResult(GradedDims({0: 1}), GradedDims({0: 2, 1: 1}), 1)
+        b = RHomResult(GradedDims({1: 1}), GradedDims({0: 2, 1: 1, 2: 5}), 1)
+        assert a.merge(b) == RHomResult(GradedDims({0: 1, 1: 1}), GradedDims({0: 2, 1: 1}), 1)
+        assert a.merge(RHomResult(GradedDims(), None, 1)) == a
+
+
+class TestSoundnessUnderOptimize:
+    """Invariant failures raise SoundnessError also when asserts are off."""
+
+    SCRIPT = """
+import sys
+from quadstab.calculus import RHomResult, SoundnessError
+from quadstab.geometry import GradedDims as G
+assert False, "asserts must be off"
+cases = {
+    "euler": (RHomResult(G({0: 1}), G({0: 1}), 1), RHomResult(G({0: 1}), None, 2)),
+    "lo>hi": (RHomResult(G({0: 2}), None, 0), RHomResult(G(), G({0: 1, 1: 1}), 0)),
+}
+for name, (a, b) in cases.items():
+    try:
+        a.merge(b)
+    except SoundnessError as exc:
+        print(name, exc)
+    else:
+        sys.exit(f"{name}: merged")
+"""
+
+    def test_merge_raises_with_python_O(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "euler inconsistent Euler numbers: 1 vs 2",
+            "lo>hi contradictory bounds in degree 0: 2 > 1",
+        ]
+
+
+class TestGoldenPool:
+    """The benchmark's recorded pool of 1,000 RHom values, replayed exactly:
+    the same Euler number and the same dims, or the same lo and hi."""
+
+    POOL = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "rhom_pool.json"
+
+    @staticmethod
+    def record(r: RHomResult) -> dict:
+        if r.determined:
+            return {"euler": r.euler, "dims": [list(p) for p in r.dims.items()]}
+        hi = None if r.hi is None else [list(p) for p in r.hi.items()]
+        return {"euler": r.euler, "lo": [list(p) for p in r.lo.items()], "hi": hi}
+
+    def test_every_pair_as_recorded(self):
+        pool = json.loads(self.POOL.read_text(encoding="utf-8"))
+        texts = pool["expressions"]
+        ctx = Context(default_config())
+        mismatches, ambiguous = [], 0
+        for a, b, golden in pool["pairs"]:
+            r = ctx.calc.rhom(ctx.obj(texts[a]), ctx.obj(texts[b]))
+            ambiguous += not r.determined
+            if self.record(r) != golden:
+                mismatches.append((texts[a], texts[b], golden, str(r)))
+        assert len(pool["pairs"]) == 1000
+        assert mismatches == []
+        assert ambiguous == 459

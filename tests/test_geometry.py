@@ -308,3 +308,19 @@ class TestGradedDims:
     def test_negative_dimension_rejected(self):
         with pytest.raises(Exception):
             GradedDims({0: -1})
+
+    def test_equal_whatever_the_insertion_order(self):
+        a, b = GradedDims({3: 1, -1: 2, 0: 1}), GradedDims({0: 1, 3: 1, -1: 2})
+        assert a == b and hash(a) == hash(b)
+        assert GradedDims({2: 1}) + GradedDims({0: 1}) == GradedDims({0: 1}) + GradedDims({2: 1})
+
+    def test_items_str_and_repr_in_increasing_degree(self):
+        d = GradedDims({3: 1, -1: 2, 0: 0, 1: 4})
+        assert d.items() == ((-1, 2), (1, 4), (3, 1))
+        assert str(d) == "{-1: 2, 1: 4, 3: 1}"
+        assert repr(d) == "GradedDims({-1: 2, 1: 4, 3: 1})"
+        assert d.dual(3).items() == ((0, 1), (2, 4), (4, 2))
+
+    def test_negative_dimension_rejected_with_geometry_error(self):
+        with pytest.raises(GeometryError, match="negative dimension -2 in degree 1"):
+            GradedDims({0: 1, 1: -2})

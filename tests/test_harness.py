@@ -301,6 +301,28 @@ class TestOneResolution:
             assert source.count(fragment) == 1, fragment
 
 
+class TestBrokenHeart:
+    """A heart that fails to build is built once; every check reading it
+    reports the same failure."""
+
+    def test_make_heart_runs_once(self, monkeypatch):
+        calls = []
+        real = harness.make_heart
+
+        def counting(calc, simples):
+            calls.append(simples)
+            return real(calc, simples)
+
+        monkeypatch.setattr(harness, "make_heart", counting)
+        text = DEFAULT_CONFIG_TEXT.replace("B = O(-h) ; G ; shift(F,-2)", "B = O(-h) ; G ; F")
+        assert text != DEFAULT_CONFIG_TEXT
+        results = run_checks(HarnessConfig.from_text(text), ("heart.B", "tilt.simples", "descent.kerZ"))
+        assert len(calls) == 1
+        assert [r.status for r in results] == ["ambiguous"] * 3
+        assert len({r.actual for r in results}) == 1
+        assert results[0].actual.startswith("PreconditionError: ")
+
+
 class TestTracerTargets:
     """perfbench/tracer.py wraps program functions by name; a rename or a
     change of kind there silently breaks the traced benchmark run."""

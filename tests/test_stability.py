@@ -138,6 +138,27 @@ class TestHNFiltration:
         with pytest.raises(StabilityError):
             hn_filtration(CentralCharge.of([I]), [])
 
+    def test_infinite_slope_sorts_first_and_exactly(self):
+        Z = CentralCharge.of([(0, 1), (1, 2), (-1, 0), (-1, 1)])
+        out = hn_filtration(Z, [0, 1, 2, 3])
+        assert [mu for mu, _ in out] == [INFINITY, 1, 0, Q(-1, 2)]
+        assert [group for _, group in out] == [{2: 1}, {3: 1}, {0: 1}, {1: 1}]
+
+    def test_no_slope_is_a_float(self, ctx):
+        charges = [Z for _, Z in ctx.charges.values()] + [
+            CentralCharge.of(values)
+            for values in ([I, (0, 0), I], [(-1, 0), I, (0, 1)], [(-2, 3), (1, 1)], [(1, 0)])
+        ]
+        slopes = []
+        for Z in charges:
+            for idx in range(len(Z)):
+                unit = [0] * len(Z)
+                unit[idx] = 1
+                slopes.append(slope(Z, unit))
+        assert INFINITY in slopes and Q(-100) in slopes
+        assert not any(isinstance(mu, float) for mu in slopes)
+        assert str(INFINITY) == "inf"
+
 
 class TestTilt:
     def test_tilted_simples(self, ctx, heart_B, heart_A):
