@@ -166,6 +166,7 @@ class Calculus:
         self._rhom_memo: dict[tuple, RHomResult] = {}
         self._stack: set[tuple] = set()
         self._class_memo: dict[FormalObject, KClass] = {}
+        self._twist_memo: dict[tuple[FormalObject, DivisorClass], FormalObject] = {}
         self._pres_memo: dict[FormalObject, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -201,20 +202,26 @@ class Calculus:
         return out
 
     def tensor_line(self, x: FormalObject, D: DivisorClass) -> FormalObject:
-        """Twist the whole tree by the line bundle O(D)."""
-        if D == DivisorClass(0, 0, 0):
+        """Twist the whole tree by the line bundle O(D).
+
+        Twists are memoized per (node, D), so a subtree shared by many
+        twisted trees (as in repeated Serre transports) is twisted once.
+        """
+        if D == DivisorClass(0, 0, 0) or isinstance(x, Zero):
             return x
-        if isinstance(x, Zero):
-            return x
+        key = (x, D)
+        cached = self._twist_memo.get(key)
+        if cached is not None:
+            return cached
         if isinstance(x, LineAtom):
-            return LineAtom(x.divisor + D)
-        if isinstance(x, PushAtom):
-            return PushAtom(x.beta + self.geometry.restrict_to_E(D))
-        if isinstance(x, Shift):
-            return Shift(self.tensor_line(x.child, D), x.n)
-        if isinstance(x, Sum):
-            return Sum(tuple(self.tensor_line(c, D) for c in x.children))
-        if isinstance(x, Cone):
+            out = LineAtom(x.divisor + D)
+        elif isinstance(x, PushAtom):
+            out = PushAtom(x.beta + self.geometry.restrict_to_E(D))
+        elif isinstance(x, Shift):
+            out = Shift(self.tensor_line(x.child, D), x.n)
+        elif isinstance(x, Sum):
+            out = Sum(tuple(self.tensor_line(c, D) for c in x.children))
+        elif isinstance(x, Cone):
             tag = x.mutation
             if tag is not None:
                 tag = Mutation(
@@ -223,13 +230,16 @@ class Calculus:
                     self.tensor_line(tag.operand, D),
                 )
             # twisting by a line bundle is an equivalence, canonicity survives
-            return Cone(
+            out = Cone(
                 self.tensor_line(x.source, D),
                 self.tensor_line(x.target, D),
                 x.provenance,
                 tag,
             )
-        raise TypeError(f"cannot twist {x!r}")
+        else:
+            raise TypeError(f"cannot twist {x!r}")
+        self._twist_memo[key] = out
+        return out
 
     # ------------------------------------------------------------------
     # normalization and mutations

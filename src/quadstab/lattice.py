@@ -9,11 +9,14 @@ the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
 props.hrr-vs-cohomology check).  The rational pairing Geometry.hrr_euler on
 Chern characters is only the test oracle these are checked against.
 Sublattices are kept in Hermite normal form, integer systems are solved
-against it (integer_solution), and quotients are computed by Smith normal form.
+against it (integer_solution), and quotients are computed by a Smith normal
+form built from alternating row and column Hermite forms.  The determinant
+of a rational matrix is taken by fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -50,23 +53,28 @@ def rational_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
 
 
 def rational_determinant(matrix: Sequence[Sequence[Q]]) -> Q:
-    n = len(matrix)
-    m = [[Q(v) for v in row] for row in matrix]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Determinant of a square rational matrix, without fractions on the way.
+
+    Each row is scaled by the lcm of its denominators, fraction-free
+    (Bareiss) elimination runs over the integers, and the determinant is
+    divided by the product of the row scales at the end.
+    """
+    rows = [[Q(v) for v in row] for row in matrix]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    m = [[int(v * s) for v in row] for row, s in zip(rows, scales)]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return det
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return Q(sign * m[-1][-1] if n else 1, math.prod(scales))
 
 
 def solve_rational(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> Optional[list[Q]]:
@@ -189,88 +197,43 @@ def integer_solution(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Op
     return [sum(c * u[i][j] for i, c in enumerate(y)) for j in range(len(rows))]
 
 
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
+
+
 def smith_normal_form(
     rows: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Invariant factors of the matrix plus unimodular U, V with U*M*V diagonal."""
+    """Invariant factors of the matrix plus unimodular U, V with U*M*V diagonal.
+
+    The diagonal starts with the positive invariants, each dividing the next.
+    Row Hermite forms of the matrix and of its transpose alternate until it
+    is diagonal (Cohen, Computational Algebraic Number Theory, 2.4).  While
+    some d_i fails to divide a later d_j, column j is added into column i;
+    the next row form replaces d_i by gcd(d_i, d_j), a proper divisor.
+    """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t] != 0:
-                    addmul_row(i, t, a[i][t] // a[t][t])
-                    swap_rows(t, i)
-                    dirty = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    addmul_row(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, n):
-                if a[t][j] % a[t][t] != 0:
-                    addmul_col(j, t, a[t][j] // a[t][t])
-                    swap_cols(t, j)
-                    dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    addmul_col(j, t, a[t][j] // a[t][t])
-        # enforce divisibility d_t | a[i][j] for the trailing block
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            # pull the offending row into the pivot row; the next round of
-            # column reduction replaces the pivot by a proper divisor
-            addmul_row(t, stray, -1)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    if not (m and n):
+        return [], u, v
+    while True:
+        h, t = hnf_with_transform(a)
+        u = _matmul(t, u)
+        h, t = hnf_with_transform([list(c) for c in zip(*h + [[0] * n] * (m - len(h)))])
+        v = _matmul(v, list(zip(*t)))
+        a = [list(c) for c in zip(*h + [[0] * m] * (n - len(h)))]
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    invariants = [a[i][i] for i in range(min(m, n)) if a[i][i] != 0]
-    return invariants, u, v
+        d = [a[i][i] for i in range(min(m, n)) if a[i][i]]
+        stray = next(((i, j) for j in range(len(d)) for i in range(j) if d[j] % d[i]), None)
+        if stray is None:
+            return d, u, v
+        i, j = stray
+        for row in a + v:
+            row[i] += row[j]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .lattice import (
     integer_kernel,
     integer_solution,
     quotient as lattice_quotient,
+    rational_determinant,
 )
 from .calculus import AmbiguityError, Calculus, PreconditionError, SoundnessError
 from .expressions import Cone, FormalObject, Sum, pretty, shifted
@@ -373,8 +374,6 @@ def check_support(
 
 
 def _leading_minor(matrix: Sequence[Sequence[Q]], k: int) -> Q:
-    from .lattice import rational_determinant
-
     return rational_determinant([row[:k] for row in list(matrix)[:k]])
 
 
@@ -425,6 +424,7 @@ def descend(
     defined and a strong stability function on the image of the cone.
     """
     n = len(heart)
+    units = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     simple_rows = [calc.ktheory.coordinates(c) for c in heart.classes]
 
     coords_rows: list[list[int]] = []
@@ -442,8 +442,7 @@ def descend(
     # identified in the quotient).
     gens: list[list[int]] = []
     simple_gens: list[int] = []
-    for i in range(n):
-        unit = [1 if t == i else 0 for t in range(n)]
+    for i, unit in enumerate(units):
         if kernel.member(unit):
             gens.append(unit)
             simple_gens.append(i)
@@ -476,7 +475,7 @@ def descend(
         v2 = Verdict(False, f"ker Z = {ker_z} but kernel lattice = {kernel}")
 
     # (3) quotient by Smith normal form
-    ambient = IntegerLattice(n, [[1 if t == i else 0 for t in range(n)] for i in range(n)])
+    ambient = IntegerLattice(n, units)
     quot = lattice_quotient(ambient, kernel)
     v3 = Verdict(
         True,
@@ -489,15 +488,15 @@ def descend(
         if Z.value(row) != (Q(0), Q(0)):
             problems.append(f"Z does not vanish on kernel generator {list(row)}")
     induced = tuple(Z.value(lift) for lift in quot.lift)
-    images = tuple(quot.project([1 if t == i else 0 for t in range(n)]) for i in range(n))
+    images = quot.projection
     if not any(any(img) for img in images):
         problems.append(
             "no simple survives in the quotient; the induced charge is zero"
         )
     for i in range(n):
-        re, im = Z.value([1 if t == i else 0 for t in range(n)])
+        re, im = Z.values[i]
         if (re, im) == (0, 0):
-            if not kernel.member([1 if t == i else 0 for t in range(n)]):
+            if not kernel.member(units[i]):
                 problems.append(
                     f"simple {heart.labels[i]} has Z = 0 but is not in the kernel"
                 )
@@ -558,10 +557,7 @@ def check_weak_stability_condition(
     hn = Verdict(True, "finite-length heart: HN filtrations are automatic")
     if quotient_data is not None:
         rank = quotient_data.rank
-        images = [
-            quotient_data.project([1 if t == i else 0 for t in range(len(heart))])
-            for i in range(len(heart))
-        ]
+        images = quotient_data.projection
         induced = [Z.value(lift) for lift in quotient_data.lift]
         Zq = CentralCharge(tuple(induced))
         q = Qform or QuadraticForm.zero(rank)

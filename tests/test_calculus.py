@@ -16,6 +16,7 @@ import pytest
 
 from quadstab.geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
 from quadstab.expressions import (
+    MAX_DEPTH,
     Cone,
     LineAtom,
     PushAtom,
@@ -412,6 +413,25 @@ class TestMemoIndependence:
         assert reverse == fresh
         assert [hash(x) for x in objects] == hashes
         assert len(set(objects)) > 50
+
+
+class TestTwistMemo:
+    """Serre transport twists each subtree once: twists are memoized per
+    (node, divisor) on the Calculus."""
+
+    def test_deep_cone_chain_is_linear(self):
+        text = "O(h)"
+        for _ in range(MAX_DEPTH - 1):
+            text = f"cone(O(),{text})"
+        calc = Calculus(Geometry())
+        x = parse_object(text)
+        # RHom(O(), chain) is ambiguous, so the mutation is refused
+        with pytest.raises(PreconditionError):
+            calc.mutate_left(parse_object("O()"), x)
+        # re-twisting each subtree at every level would take 169,100 calls
+        assert len(calc._twist_memo) <= 3000
+        omega = calc.geometry.canonical_class()
+        assert calc.tensor_line(x, omega) == Calculus(Geometry()).tensor_line(x, omega)
 
 
 class TestRHomResult:

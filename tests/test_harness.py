@@ -18,6 +18,7 @@ from quadstab.harness import (
     ConfigError,
     Context,
     DEFAULT_CONFIG_TEXT,
+    DEFAULT_TWIST,
     HarnessConfig,
     default_config,
     emit_report,
@@ -321,6 +322,27 @@ class TestBrokenHeart:
         assert [r.status for r in results] == ["ambiguous"] * 3
         assert len({r.actual for r in results}) == 1
         assert results[0].actual.startswith("PreconditionError: ")
+
+
+class TestBenchmarkGolden:
+    """The benchmark's recorded report and CLI outputs, replayed read-only."""
+
+    GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+    def test_report_json_byte_identical(self, full_results):
+        golden = (self.GOLDEN / "report.json").read_text(encoding="utf-8")
+        assert emit_report(full_results, "json", DEFAULT_TWIST) + "\n" == golden
+
+    def test_cli_pool_as_recorded(self, capsys):
+        queries = json.loads((self.GOLDEN / "cli_pool.json").read_text(encoding="utf-8"))["queries"]
+        mismatches = []
+        for q in queries:
+            code = main(q["argv"])
+            out = capsys.readouterr().out
+            if (code, out) != (q["code"], q["stdout"]):
+                mismatches.append((q["argv"], code, out))
+        assert len(queries) == 821
+        assert mismatches == []
 
 
 class TestTracerTargets:

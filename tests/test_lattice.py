@@ -1,6 +1,15 @@
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import quadstab
 
 from quadstab.geometry import DivisorClass, Geometry, GeometryConfig, SurfaceDivisor
 from quadstab.lattice import (
@@ -26,6 +35,21 @@ Q = Fraction
 TWISTS = [(-1, -1), (0, 0), (1, -2), (2, 3), (-3, 1)]
 
 
+def laplace(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 class TestLinearAlgebra:
     def test_inverse(self):
         m = [[Q(2), Q(1)], [Q(1), Q(1)]]
@@ -35,6 +59,24 @@ class TestLinearAlgebra:
     def test_determinant(self):
         assert rational_determinant([[Q(2), Q(0)], [Q(0), Q(3)]]) == 6
         assert rational_determinant([[Q(1), Q(2)], [Q(2), Q(4)]]) == 0
+
+    def test_determinant_matches_laplace(self):
+        rng = random.Random(20261018)
+        cases = [[], [[Q(0), Q(1)], [Q(0), Q(5, 3)]], [[Q(1, 2), Q(1, 3)], [Q(3, 2), Q(1)]]]
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            m = [[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:  # a row dependent on two others
+                m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+            if n and rng.random() < 0.25:  # a zero column
+                c = rng.randrange(n)
+                for row in m:
+                    row[c] = Q(0)
+            cases.append(m)
+        for m in cases:
+            det = rational_determinant(m)
+            assert isinstance(det, Fraction) and det == laplace(m), m
+        assert rational_determinant([]) == 1
 
     def test_solve(self):
         rows = [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]]
@@ -73,6 +115,73 @@ class TestLinearAlgebra:
             for i in range(2)
         ]
         assert umv == [[inv[0], 0], [0, inv[1]]]
+
+
+class TestSmithNormalForm:
+    SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 9)]
+
+    @staticmethod
+    def matrices(m, n, rng):
+        """Full-rank, rank-deficient and zero-row matrices with entries up to 1000."""
+        for bound in (1, 9, 1000):
+            yield [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        for _ in range(2):
+            rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+            if m > 1:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (m - 1)])]
+            rows[rng.randrange(m)] = [0] * n
+            yield rows
+        yield [[0] * n for _ in range(m)]
+
+    @staticmethod
+    def determinantal_divisors(rows):
+        """D_k = gcd of the k x k minors, for k = 1 .. min(m, n)."""
+        m, n = len(rows), len(rows[0])
+        return [
+            math.gcd(*(
+                laplace([[rows[i][j] for j in cols] for i in rs])
+                for rs in combinations(range(m), k)
+                for cols in combinations(range(n), k)
+            ))
+            for k in range(1, min(m, n) + 1)
+        ]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_properties(self, shape):
+        m, n = shape
+        rng = random.Random(1000 * m + n)
+        for rows in self.matrices(m, n, rng):
+            inv, u, v = smith_normal_form(rows)
+            assert all(d > 0 for d in inv)
+            assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
+            diag = [[inv[i] if i == j and i < len(inv) else 0 for j in range(n)] for i in range(m)]
+            assert matmul(matmul(u, rows), v) == diag, rows
+            assert abs(rational_determinant(u)) == abs(rational_determinant(v)) == 1
+            if m <= 3 and n <= 3:
+                products = [math.prod(inv[:k]) if k <= len(inv) else 0 for k in range(1, min(m, n) + 1)]
+                assert products == self.determinantal_divisors(rows), rows
+
+    def test_empty_shapes(self):
+        assert smith_normal_form([]) == ([], [], [])
+        assert smith_normal_form([[], []]) == ([], [[1, 0], [0, 1]], [])
+
+    def test_coefficient_blowup_regression(self):
+        # naive smallest-pivot elimination grows 140-digit entries on this
+        # matrix by its third pivot (Kannan-Bachem); it must stay fast
+        code = (
+            "from quadstab.lattice import smith_normal_form; "
+            "print(smith_normal_form([[-9, -19, -40, -35, -33], [28, -37, 11, -17, -10], "
+            "[-20, -33, -27, -39, 38], [30, -15, -22, 12, -15]])[0])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1])),
+            timeout=30,
+        )
+        assert proc.stdout == "[1, 1, 1, 6]\n", proc.stderr
 
 
 class TestIntegerLattice:
