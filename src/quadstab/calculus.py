@@ -19,8 +19,12 @@ RHom between two expression trees is computed by structural recursion:
 Every graded value, from an atom's cohomology to the answer of rhom, is one
 RHomResult: degreewise lower and upper bounds (GradedDims, the upper one
 possibly unknown) and the Euler number.  Rules give sound bounds, and the
-bounds of one pair are merged; the value is determined when they meet.  The
-memo holds these values and rhom returns them as they are.
+bounds of one pair are merged; the value is determined when they meet.  Two
+memos hold these values, and rhom returns them as they are.  Atom values are
+keyed by (kind, difference): line-bundle and O_E cohomology is translation
+invariant, so RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three
+mixed kinds, and many atom pairs share one entry.  Composite pairs are keyed
+by (X, Y, transport), since their rules recurse and may take a Serre hop.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
@@ -132,26 +136,27 @@ class RHomResult:
         """Intersect two sound bounds for the same value."""
         if self.euler != other.euler:
             raise SoundnessError(f"inconsistent Euler numbers: {self.euler} vs {other.euler}")
-        a, b = self.lo, other.lo
-        lo = GradedDims({d: max(a.get(d), b.get(d)) for d in a.degrees() | b.degrees()})
+        lo = self.lo.join(other.lo)
         if self.hi is None:
             hi = other.hi
         elif other.hi is None:
             hi = self.hi
         else:
-            a, b = self.hi, other.hi
-            hi = GradedDims({d: min(a.get(d), b.get(d)) for d in a.degrees() & b.degrees()})
+            hi = self.hi.meet(other.hi)
         if hi is not None:
-            for d, v in lo.items():
-                if v > hi.get(d):
-                    raise SoundnessError(
-                        f"contradictory bounds in degree {d}: {v} > {hi.get(d)}"
-                    )
+            excess = lo.monus(hi)
+            if not excess.is_zero():
+                d = excess.items()[0][0]
+                raise SoundnessError(
+                    f"contradictory bounds in degree {d}: {lo.get(d)} > {hi.get(d)}"
+                )
         return RHomResult(lo, hi, self.euler)
 
 
 _ZERO = RHomResult.exact(GradedDims())
 
+
+_ATOMS = (LineAtom, PushAtom)
 
 _H = DivisorClass(0, 1, 0)
 _K = DivisorClass(0, 0, 1)
@@ -163,6 +168,7 @@ class Calculus:
     def __init__(self, geometry: Optional[Geometry] = None):
         self.geometry = geometry or Geometry()
         self.ktheory = KTheory(self.geometry)
+        self._atom_memo: dict[tuple[str, object], RHomResult] = {}
         self._rhom_memo: dict[tuple, RHomResult] = {}
         self._stack: set[tuple] = set()
         self._class_memo: dict[FormalObject, KClass] = {}
@@ -447,11 +453,19 @@ class Calculus:
     ) -> Optional[RHomResult]:
         """Best knowledge of RHom(X, Y); None when the pair is in progress.
 
+        Two atoms are answered from the atom memo, keyed by (kind, divisor
+        difference): atoms do not recurse and their value does not depend on
+        `transport`, so they never enter the pair memo or the in-progress
+        stack.  Shifts and sums are unfolded into their parts; every other
+        pair is memoized by (X, Y, transport).
+
         `transport` allows one Serre-duality hop for this pair; the hop sets
         it False so a query cannot bounce between the two sides forever
         (each hop twists by the canonical bundle, so the pairs never repeat
         on their own).
         """
+        if isinstance(X, _ATOMS) and isinstance(Y, _ATOMS):
+            return self._atom_info(X, Y)
         if isinstance(X, Zero) or isinstance(Y, Zero):
             return _ZERO
         if isinstance(X, Shift):
@@ -498,9 +512,6 @@ class Calculus:
     def _core_info(
         self, X: FormalObject, Y: FormalObject, transport: bool
     ) -> Optional[RHomResult]:
-        if isinstance(X, (LineAtom, PushAtom)) and isinstance(Y, (LineAtom, PushAtom)):
-            return self._atom_info(X, Y)
-
         euler = self._euler(X, Y)
 
         # defining orthogonality of mutations
@@ -551,31 +562,46 @@ class Calculus:
     # -- base cases -----------------------------------------------------
 
     def _atom_info(self, X, Y) -> RHomResult:
+        """RHom between two atoms, memoized by (kind, difference).
+
+        Line-bundle and O_E cohomology is translation invariant, so the value
+        depends only on which kinds of atom meet and on the difference of
+        their divisors: Y - X, Y - X|_E, X - Y|_E (before the Serre twist)
+        or Y - X on the surface.
+        """
         g = self.geometry
-        if isinstance(X, LineAtom) and isinstance(Y, LineAtom):
-            return RHomResult.exact(g.threefold_cohomology(Y.divisor - X.divisor))
-        if isinstance(X, LineAtom) and isinstance(Y, PushAtom):
-            return RHomResult.exact(g.surface_cohomology(Y.beta - g.restrict_to_E(X.divisor)))
-        if isinstance(X, PushAtom) and isinstance(Y, LineAtom):
+        if isinstance(X, LineAtom):
+            if isinstance(Y, LineAtom):
+                key = ("line-line", Y.divisor - X.divisor)
+            else:
+                key = ("line-push", Y.beta - g.restrict_to_E(X.divisor))
+        elif isinstance(Y, LineAtom):
+            key = ("push-line", X.beta - g.restrict_to_E(Y.divisor))
+        else:
+            key = ("push-push", Y.beta - X.beta)
+        info = self._atom_memo.get(key)
+        if info is None:
+            info = self._atom_memo[key] = self._atom_value(*key)
+        return info
+
+    def _atom_value(self, kind: str, diff) -> RHomResult:
+        g = self.geometry
+        if kind == "line-line":
+            return RHomResult.exact(g.threefold_cohomology(diff))
+        if kind == "line-push":
+            return RHomResult.exact(g.surface_cohomology(diff))
+        if kind == "push-line":
             # Serre duality: transport to maps out of the line bundle
             omega = g.restrict_to_E(g.canonical_class())
-            twist = X.beta + omega - g.restrict_to_E(Y.divisor)
-            return RHomResult.exact(g.surface_cohomology(twist).dual(3))
+            return RHomResult.exact(g.surface_cohomology(diff + omega).dual(3))
         # both on the surface: resolve the left one by line bundles; the
         # result R fits the triangle R -> A -> B, determined when no degree
         # carries both sides.
-        a = g.surface_cohomology(Y.beta - X.beta)
+        a = g.surface_cohomology(diff)
         E_restr = g.restrict_to_E(g.exceptional_divisor_class())
-        b = g.surface_cohomology(Y.beta - X.beta + E_restr)
-        euler = a.euler() - b.euler()
-        lo: dict[int, int] = {}
-        hi: dict[int, int] = {}
-        for d in a.degrees() | {d + 1 for d in b.degrees()}:
-            r_here = min(a.get(d), b.get(d))
-            r_prev = min(a.get(d - 1), b.get(d - 1))
-            lo[d] = (a.get(d) - r_here) + (b.get(d - 1) - r_prev)
-            hi[d] = a.get(d) + b.get(d - 1)
-        return RHomResult(GradedDims(lo), GradedDims(hi), euler)
+        b = g.surface_cohomology(diff + E_restr)
+        lo = a.monus(b) + b.monus(a).translate(1)
+        return RHomResult(lo, a + b.translate(1), a.euler() - b.euler())
 
     # -- mutation identities ----------------------------------------------
 
@@ -674,32 +700,29 @@ class Calculus:
         """dims_i = coker(rank at i) + ker(rank at i + source_offset side).
 
         Computes (target_i - r_i) + (source_{i+off} - r_{i+off}) with interval
-        arithmetic; `source_offset` is +1 for a cone in the second argument
-        and -1 for a cone in the first argument.  Each rank lies between 0
-        and min(source_d, target_d); in the forced degree it is at least 1
-        when the triangle map is canonical and both sides are determined.
+        arithmetic on whole graded bounds; `source_offset` is +1 for a cone in
+        the second argument and -1 for a cone in the first argument.  Each
+        rank lies between 0 and min(source_d, target_d); in the forced degree
+        it is at least 1 when the triangle map is canonical and both sides are
+        determined.
         """
         if source is None or target is None:
             return None
         if source.hi is None or target.hi is None:
             return RHomResult(GradedDims(), None, euler)
-        if cone.provenance == "unspecified" or not (source.determined and target.determined):
-            forced_degree = None
-        ranks: dict[int, tuple[int, int]] = {}
-        for d in source.hi.degrees() | target.hi.degrees():
-            rhi = min(source.hi.get(d), target.hi.get(d))
-            ranks[d] = (1 if d == forced_degree and rhi >= 1 else 0, rhi)
-        degrees = target.hi.degrees() | {d - source_offset for d in source.hi.degrees()}
-        lo: dict[int, int] = {}
-        hi: dict[int, int] = {}
-        for i in degrees:
-            r_here = ranks.get(i, (0, 0))
-            r_next = ranks.get(i + source_offset, (0, 0))
-            s_lo = source.lo.get(i + source_offset)
-            s_hi = source.hi.get(i + source_offset)
-            lo[i] = max(0, target.lo.get(i) - r_here[1]) + max(0, s_lo - r_next[1])
-            hi[i] = (target.hi.get(i) - r_here[0]) + (s_hi - r_next[0])
-        return RHomResult(GradedDims(lo), GradedDims(hi), euler)
+        rank_hi = source.hi.meet(target.hi)
+        rank_lo = GradedDims()
+        if (
+            forced_degree is not None
+            and cone.provenance != "unspecified"
+            and source.determined
+            and target.determined
+            and rank_hi.get(forced_degree)
+        ):
+            rank_lo = GradedDims.single(forced_degree)
+        lo = target.lo.monus(rank_hi) + source.lo.monus(rank_hi).translate(-source_offset)
+        hi = target.hi.monus(rank_lo) + source.hi.monus(rank_lo).translate(-source_offset)
+        return RHomResult(lo, hi, euler)
 
     def _serre_transport(self, X: FormalObject, Y: FormalObject) -> Optional[RHomResult]:
         omega = self.geometry.canonical_class()

@@ -11,7 +11,8 @@ Grammar (also emitted by the pretty-printer):
 
 L and R are mutation nodes; they are elaborated into cones by the calculus
 during normalization.  Cones parsed from text carry no provenance.  Nesting
-deeper than MAX_DEPTH is rejected with a ParseError.
+deeper than MAX_DEPTH, and an integer or a divisor coefficient larger than
+MAX_COEFFICIENT in absolute value, are rejected with a ParseError.
 
 Nodes are frozen, slotted dataclasses.  Each node computes its hash once, on
 first use, from its class name and fields, and keeps it in the shared `_hash`
@@ -169,6 +170,12 @@ def strip_shift(x: FormalObject) -> tuple[FormalObject, int]:
 # default recursion limit of 1000; real expressions are a few levels deep.
 MAX_DEPTH = 100
 
+# Largest absolute value of an integer the parser accepts: a divisor
+# coefficient (after like terms are added), an OE degree or a shift.  The
+# cohomology of O(nH) sums |n| + 1 pushforward summands, so an unbounded
+# coefficient would exhaust memory instead of failing with a ParseError.
+MAX_COEFFICIENT = 10_000
+
 
 class _Parser:
     def __init__(self, text: str, names: Optional[dict[str, FormalObject]] = None):
@@ -194,17 +201,28 @@ class _Parser:
             raise self.error(f"expected '{ch}'")
         self.pos += 1
 
-    def read_int(self) -> int:
-        self.skip_ws()
+    def read_digits(self) -> Optional[int]:
+        """The unsigned decimal number at the cursor; None when there is none."""
         start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         token = self.text[start : self.pos]
-        if token in ("", "+", "-"):
-            raise self.error("expected an integer")
+        if not token:
+            return None
+        # compare lengths first: int() refuses strings of 4,300 digits or more
+        if len(token) > len(str(MAX_COEFFICIENT)) or int(token) > MAX_COEFFICIENT:
+            raise ParseError(f"integers are limited to {MAX_COEFFICIENT} in absolute value", start)
         return int(token)
+
+    def read_int(self) -> int:
+        self.skip_ws()
+        sign = -1 if self.peek() == "-" else 1
+        if self.peek() in "+-":
+            self.pos += 1
+        value = self.read_digits()
+        if value is None:
+            raise self.error("expected an integer")
+        return sign * value
 
     def read_word(self) -> str:
         self.skip_ws()
@@ -234,12 +252,9 @@ class _Parser:
             elif not first:
                 break
             self.skip_ws()
-            mag = 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                mag = int(self.text[start : self.pos])
+            mag = self.read_digits()
+            if mag is None:
+                mag = 1
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] not in "Hhk":
                 raise self.error("expected one of H, h, k")
@@ -248,6 +263,11 @@ class _Parser:
             first = False
             if self.peek() not in "+-":
                 break
+        for sym, coeff in coeffs.items():
+            if abs(coeff) > MAX_COEFFICIENT:
+                raise self.error(
+                    f"coefficient {coeff} of {sym} exceeds {MAX_COEFFICIENT} in absolute value"
+                )
         return DivisorClass(coeffs["H"], coeffs["h"], coeffs["k"])
 
     def parse_object(self) -> FormalObject:

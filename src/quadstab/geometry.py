@@ -162,8 +162,9 @@ class GradedDims:
     Stored as a dict that holds no zero dimension, so the empty map is the
     zero space and two maps are equal whatever order they were built in;
     items(), str() and repr() list the degrees in increasing order.  The
-    constructor rejects a negative dimension.  translate, dual and + cannot
-    make a zero or a negative entry, so they do not check again.
+    constructor rejects a negative dimension.  translate, dual, +, join, meet
+    and monus cannot make a zero or a negative entry, so they do not check
+    again.
     """
 
     __slots__ = ("_dims",)
@@ -220,6 +221,32 @@ class GradedDims:
         for d, v in other._dims.items():
             out[d] = out.get(d, 0) + v
         return GradedDims._of(out)
+
+    def join(self, other: "GradedDims") -> "GradedDims":
+        """Degreewise maximum, over the union of the degrees."""
+        if not other._dims:
+            return self
+        out = dict(self._dims)
+        for d, v in other._dims.items():
+            if v > out.get(d, 0):
+                out[d] = v
+        return GradedDims._of(out)
+
+    def meet(self, other: "GradedDims") -> "GradedDims":
+        """Degreewise minimum, over the intersection of the degrees."""
+        a, b = self._dims, other._dims
+        if len(b) < len(a):
+            a, b = b, a
+        return GradedDims._of({d: min(v, b[d]) for d, v in a.items() if d in b})
+
+    def monus(self, other: "GradedDims") -> "GradedDims":
+        """Degreewise truncated difference max(0, self - other)."""
+        if not other._dims:
+            return self
+        b = other._dims
+        return GradedDims._of(
+            {d: v - b.get(d, 0) for d, v in self._dims.items() if v > b.get(d, 0)}
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedDims) and self._dims == other._dims

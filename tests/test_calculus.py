@@ -5,6 +5,7 @@ quotes; the engine must reproduce each one exactly and with determined
 status.
 """
 
+import inspect
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from quadstab.expressions import (
     parse_object,
 )
 from quadstab.calculus import Calculus, PreconditionError, RHomResult, SoundnessError
-from quadstab.harness import Context, _corpus, default_config
+from quadstab.harness import Context, _corpus, default_config, run_checks
 
 D = DivisorClass
 S = SurfaceDivisor
@@ -432,6 +433,89 @@ class TestTwistMemo:
         assert len(calc._twist_memo) <= 3000
         omega = calc.geometry.canonical_class()
         assert calc.tensor_line(x, omega) == Calculus(Geometry()).tensor_line(x, omega)
+
+
+R3 = range(-3, 4)
+LINE_GRID = [LineAtom(D(a, b, c)) for a in R3 for b in R3 for c in R3]
+PUSH_GRID = [PushAtom(S(d, e)) for d in R3 for e in R3]
+
+
+@pytest.fixture(scope="module")
+def atom_grid():
+    """RHom of every pair of grid atoms, of all four kinds, on one Calculus,
+    and the size of its atom memo right after."""
+    calc = Calculus(Geometry())
+    atoms = LINE_GRID + PUSH_GRID
+    values = {(x, y): calc.rhom(x, y) for x in atoms for y in atoms}
+    return calc, values, len(calc._atom_memo)
+
+
+class TestAtomMemo:
+    """Atom pairs are memoized by (kind, divisor difference), apart from the
+    pair memo; the memo must not change a value."""
+
+    def test_shared_equals_fresh_and_twisted(self, atom_grid):
+        calc, values, _ = atom_grid
+        rng = random.Random(20261018)
+        twists = [x.divisor for x in LINE_GRID]
+        for x, y in rng.sample(list(values), 3000):
+            assert Calculus(Geometry()).rhom(x, y) == values[x, y]
+            T = rng.choice(twists)
+            fresh = Calculus(Geometry())
+            assert fresh.rhom(fresh.tensor_line(x, T), fresh.tensor_line(y, T)) == values[x, y]
+
+    def test_line_pairs_are_threefold_cohomology(self, atom_grid):
+        calc, values, _ = atom_grid
+        g = Geometry()
+        for x in LINE_GRID:
+            for y in LINE_GRID:
+                assert values[x, y] == RHomResult.exact(g.threefold_cohomology(y.divisor - x.divisor))
+
+    def test_serre_duality(self, atom_grid):
+        calc, values, _ = atom_grid
+        omega = calc.geometry.canonical_class()
+        determined = 0
+        for (x, y), r in values.items():
+            if r.determined:
+                determined += 1
+                assert r == calc.rhom(y, calc.tensor_line(x, omega)).dual(3), (x, y)
+        # only pairs of surface sheaves can be ambiguous
+        assert determined >= len(values) - len(PUSH_GRID) ** 2
+
+    def test_atom_pairs_bypass_the_pair_memo(self, atom_grid):
+        calc, values, atom_keys = atom_grid
+        assert len(values) == (343 + 49) ** 2
+        assert calc._rhom_memo == {} and not calc._stack
+        # 13^3 line-line differences, and 13^2 for each of the three other kinds
+        assert atom_keys == 13**3 + 3 * 13**2
+
+
+class TestReportOpCounts:
+    """The default report reuses atom values by divisor difference: without
+    the atom memo it makes about 25,000 cohomology calls and 23,900 pair
+    memo entries."""
+
+    def test_default_report(self, monkeypatch):
+        calls = {"n": 0}
+
+        def counting(name):
+            original = getattr(Geometry, name)
+
+            def wrapper(*args):
+                calls["n"] += 1
+                return original(*args)
+
+            is_static = isinstance(inspect.getattr_static(Geometry, name), staticmethod)
+            return staticmethod(wrapper) if is_static else wrapper
+
+        for name in ("threefold_cohomology", "surface_cohomology"):
+            monkeypatch.setattr(Geometry, name, counting(name))
+        ctx = Context(default_config())
+        results = run_checks(ctx)
+        assert all(r.status == "pass" for r in results)
+        assert calls["n"] <= 7000
+        assert len(ctx.calc._rhom_memo) <= 2000
+        assert len(ctx.calc._atom_memo) <= 1000
 
 
 class TestRHomResult:

@@ -4,6 +4,7 @@ import pytest
 
 from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.expressions import (
+    MAX_COEFFICIENT,
     MAX_DEPTH,
     Cone,
     FormalObject,
@@ -104,6 +105,48 @@ class TestDepthLimit:
     def test_wide_trees_are_not_limited(self):
         wide = "sum(" + ",".join(nested("shift", MAX_DEPTH - 1) for _ in range(50)) + ")"
         assert len(parse_object(wide).children) == 50
+
+
+class TestCoefficientLimit:
+    """Integers past MAX_COEFFICIENT are a ParseError, not a huge computation."""
+
+    M = MAX_COEFFICIENT
+
+    def test_limit_accepted(self):
+        assert parse_object(f"O({self.M}H-{self.M}h+k)") == LineAtom(D(self.M, -self.M, 1))
+        assert parse_object(f"OE(-{self.M},{self.M})") == PushAtom(SurfaceDivisor(-self.M, self.M))
+        assert parse_object(f"shift(O(),-{self.M})") == Shift(LineAtom(D(0, 0, 0)), -self.M)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"O({MAX_COEFFICIENT + 1}H)",
+            f"O(-{MAX_COEFFICIENT + 1}k)",
+            "O(100000000H)",
+            f"OE({MAX_COEFFICIENT + 1},0)",
+            f"OE(0,-{MAX_COEFFICIENT + 1})",
+            f"shift(O(),{MAX_COEFFICIENT + 1})",
+            # longer than int() converts without raising ValueError
+            "O(" + "9" * 5000 + "h)",
+            "OE(0," + "1" * 5000 + ")",
+        ],
+    )
+    def test_beyond_limit_rejected(self, text):
+        with pytest.raises(ParseError, match="limited to"):
+            parse_object(text)
+
+    def test_like_terms_are_limited_after_adding(self):
+        half = MAX_COEFFICIENT // 2 + 1
+        with pytest.raises(ParseError, match="coefficient .* of H exceeds"):
+            parse_object(f"O({half}H+{half}H)")
+        assert parse_object(f"O({half}H-{half}H)") == LineAtom(D(0, 0, 0))
+
+    def test_only_ascii_digits(self):
+        # '²'.isdigit() is true, but int() rejects it
+        with pytest.raises(ParseError, match="expected one of H, h, k"):
+            parse_object("O(²H)")
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_object("OE(²,0)")
 
 
 def _all_kinds() -> Cone:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,26 @@ class TestGradedDims:
         assert str(d) == "{-1: 2, 1: 4, 3: 1}"
         assert repr(d) == "GradedDims({-1: 2, 1: 4, 3: 1})"
         assert d.dual(3).items() == ((0, 1), (2, 4), (4, 2))
+
+    def test_join_meet_monus(self):
+        a, b = GradedDims({-1: 2, 0: 1, 2: 3}), GradedDims({0: 4, 2: 1, 5: 1})
+        assert a.join(b) == GradedDims({-1: 2, 0: 4, 2: 3, 5: 1})
+        assert a.meet(b) == GradedDims({0: 1, 2: 1})
+        assert a.monus(b) == GradedDims({-1: 2, 2: 2})
+        assert b.monus(a) == GradedDims({0: 3, 5: 1})
+        zero = GradedDims()
+        assert a.join(zero) == zero.join(a) == a
+        assert a.meet(zero) == zero.meet(a) == zero
+        assert a.monus(zero) == a and zero.monus(a) == zero and a.monus(a) == zero
+
+    def test_join_meet_monus_degreewise(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            a, b = (GradedDims({d: rng.randint(0, 3) for d in range(-2, 3)}) for _ in "ab")
+            for d in range(-3, 4):
+                assert a.join(b).get(d) == max(a.get(d), b.get(d))
+                assert a.meet(b).get(d) == min(a.get(d), b.get(d))
+                assert a.monus(b).get(d) == max(0, a.get(d) - b.get(d))
 
     def test_negative_dimension_rejected_with_geometry_error(self):
         with pytest.raises(GeometryError, match="negative dimension -2 in degree 1"):

@@ -11,7 +11,7 @@ import pytest
 
 import quadstab
 from quadstab import harness
-from quadstab.expressions import MAX_DEPTH
+from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
 
 from quadstab.harness import (
     CHECK_NAMES,
@@ -231,6 +231,30 @@ class TestDeepNesting:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "nested deeper" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestHugeCoefficients:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "100000000H"],
+            ["rhom", "O()", "O(100000000H)"],
+            ["cohomology", "1" * 5000 + "H"],
+        ],
+    )
+    def test_exit_2_without_traceback(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadstab", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and f"{MAX_COEFFICIENT}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDeterminism:
