@@ -21,10 +21,11 @@ RHomResult: degreewise lower and upper bounds (GradedDims, the upper one
 possibly unknown) and the Euler number.  Rules give sound bounds, and the
 bounds of one pair are merged; the value is determined when they meet.  Two
 memos hold these values, and rhom returns them as they are.  Atom values are
-keyed by (kind, difference): line-bundle and O_E cohomology is translation
-invariant, so RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three
-mixed kinds, and many atom pairs share one entry.  Composite pairs are keyed
-by (X, Y, transport), since their rules recurse and may take a Serre hop.
+keyed by the kind and the integer differences of the atoms' coefficients:
+line-bundle and O_E cohomology is translation invariant, so
+RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three mixed kinds,
+and many atom pairs share one entry.  Composite pairs are keyed by
+(X, Y, transport), since their rules recurse and may take a Serre hop.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
@@ -47,6 +48,7 @@ from .expressions import (
     Mutation,
     MutateLeftNode,
     MutateRightNode,
+    ParseError,
     PushAtom,
     Shift,
     Sum,
@@ -67,6 +69,18 @@ class PreconditionError(Exception):
 
 class SoundnessError(Exception):
     """An internal invariant of the calculus failed; raised also under -O."""
+
+
+# Largest number of copies of e, over all degrees, in the evaluation or
+# coevaluation cone of a mutation.  The count is the dimension of a Hom
+# space, which grows like the cube of a divisor coefficient: RHom(O, O(nH))
+# for n = 10,000 (inside MAX_COEFFICIENT) has dimension 333,483,355,001.
+MAX_COPIES = 10_000
+
+
+class CopyLimitError(ParseError):
+    """A mutation would hold more than MAX_COPIES copies of its exceptional
+    object: like the parser's limits, it refuses an input as too large."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +182,7 @@ class Calculus:
     def __init__(self, geometry: Optional[Geometry] = None):
         self.geometry = geometry or Geometry()
         self.ktheory = KTheory(self.geometry)
-        self._atom_memo: dict[tuple[str, object], RHomResult] = {}
+        self._atom_memo: dict[tuple, RHomResult] = {}
         self._rhom_memo: dict[tuple, RHomResult] = {}
         self._stack: set[tuple] = set()
         self._class_memo: dict[FormalObject, KClass] = {}
@@ -304,7 +318,13 @@ class Calculus:
 
         sign -1 gives the source of the evaluation map RHom(e, x) (x) e -> x,
         sign +1 the target of the coevaluation x -> RHom(x, e)^* (x) e.
+        Raises CopyLimitError, before building anything, past MAX_COPIES.
         """
+        count = sum(dim for _, dim in dims.items())
+        if count > MAX_COPIES:
+            raise CopyLimitError(
+                f"a mutation cone needs {count} copies of an object, more than the limit {MAX_COPIES}"
+            )
         copies: list[FormalObject] = []
         for deg, dim in dims.items():
             copies.extend([shifted(e, sign * deg)] * dim)
@@ -453,10 +473,10 @@ class Calculus:
     ) -> Optional[RHomResult]:
         """Best knowledge of RHom(X, Y); None when the pair is in progress.
 
-        Two atoms are answered from the atom memo, keyed by (kind, divisor
-        difference): atoms do not recurse and their value does not depend on
-        `transport`, so they never enter the pair memo or the in-progress
-        stack.  Shifts and sums are unfolded into their parts; every other
+        Two atoms are answered from the atom memo, keyed by the kind and the
+        integer differences of their divisors: atoms do not recurse and their
+        value does not depend on `transport`, so they never enter the pair
+        memo or the in-progress stack.  Shifts and sums are unfolded into their parts; every other
         pair is memoized by (X, Y, transport).
 
         `transport` allows one Serre-duality hop for this pair; the hop sets
@@ -562,44 +582,48 @@ class Calculus:
     # -- base cases -----------------------------------------------------
 
     def _atom_info(self, X, Y) -> RHomResult:
-        """RHom between two atoms, memoized by (kind, difference).
+        """RHom between two atoms, memoized by kind and integer differences.
 
         Line-bundle and O_E cohomology is translation invariant, so the value
         depends only on which kinds of atom meet and on the difference of
         their divisors: Y - X, Y - X|_E, X - Y|_E (before the Serre twist)
-        or Y - X on the surface.
+        or Y - X on the surface.  The key holds that difference as plain
+        ints, e.g. ("line-line", dH, dh, dk); restriction to E keeps the h
+        and k coefficients.  The divisor objects are built only on a miss.
         """
-        g = self.geometry
         if isinstance(X, LineAtom):
+            D = X.divisor
             if isinstance(Y, LineAtom):
-                key = ("line-line", Y.divisor - X.divisor)
+                F = Y.divisor
+                key = ("line-line", F.nH - D.nH, F.nh - D.nh, F.nk - D.nk)
             else:
-                key = ("line-push", Y.beta - g.restrict_to_E(X.divisor))
+                key = ("line-push", Y.beta.d - D.nh, Y.beta.e - D.nk)
         elif isinstance(Y, LineAtom):
-            key = ("push-line", X.beta - g.restrict_to_E(Y.divisor))
+            key = ("push-line", X.beta.d - Y.divisor.nh, X.beta.e - Y.divisor.nk)
         else:
-            key = ("push-push", Y.beta - X.beta)
+            key = ("push-push", Y.beta.d - X.beta.d, Y.beta.e - X.beta.e)
         info = self._atom_memo.get(key)
         if info is None:
             info = self._atom_memo[key] = self._atom_value(*key)
         return info
 
-    def _atom_value(self, kind: str, diff) -> RHomResult:
+    def _atom_value(self, kind: str, *diff: int) -> RHomResult:
         g = self.geometry
         if kind == "line-line":
-            return RHomResult.exact(g.threefold_cohomology(diff))
+            return RHomResult.exact(g.threefold_cohomology(DivisorClass(*diff)))
+        beta = SurfaceDivisor(*diff)
         if kind == "line-push":
-            return RHomResult.exact(g.surface_cohomology(diff))
+            return RHomResult.exact(g.surface_cohomology(beta))
         if kind == "push-line":
             # Serre duality: transport to maps out of the line bundle
             omega = g.restrict_to_E(g.canonical_class())
-            return RHomResult.exact(g.surface_cohomology(diff + omega).dual(3))
+            return RHomResult.exact(g.surface_cohomology(beta + omega).dual(3))
         # both on the surface: resolve the left one by line bundles; the
         # result R fits the triangle R -> A -> B, determined when no degree
         # carries both sides.
-        a = g.surface_cohomology(diff)
+        a = g.surface_cohomology(beta)
         E_restr = g.restrict_to_E(g.exceptional_divisor_class())
-        b = g.surface_cohomology(diff + E_restr)
+        b = g.surface_cohomology(beta + E_restr)
         lo = a.monus(b) + b.monus(a).translate(1)
         return RHomResult(lo, a + b.translate(1), a.euler() - b.euler())
 

@@ -29,8 +29,14 @@ from .geometry import DivisorClass, SurfaceDivisor
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    """Text that does not parse, or an input past one of the size limits.
+
+    `position` is where in the text parsing failed, or None for a limit met
+    after parsing.
+    """
+
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

@@ -164,10 +164,11 @@ class GradedDims:
     items(), str() and repr() list the degrees in increasing order.  The
     constructor rejects a negative dimension.  translate, dual, +, join, meet
     and monus cannot make a zero or a negative entry, so they do not check
-    again.
+    again.  The map is never changed after it is built, so euler() is
+    computed on first use and kept in a slot that equality and hash ignore.
     """
 
-    __slots__ = ("_dims",)
+    __slots__ = ("_dims", "_euler")
 
     def __init__(self, data: Optional[Mapping[int, int]] = None):
         dims = {}
@@ -203,7 +204,11 @@ class GradedDims:
         return not self._dims
 
     def euler(self) -> int:
-        return sum(v if d % 2 == 0 else -v for d, v in self._dims.items())
+        try:
+            return self._euler
+        except AttributeError:
+            self._euler = sum(v if d % 2 == 0 else -v for d, v in self._dims.items())
+            return self._euler
 
     def translate(self, t: int) -> "GradedDims":
         return GradedDims._of({d + t: v for d, v in self._dims.items()})
@@ -360,7 +365,9 @@ class Geometry:
         cached = self._chern_cache.get(D)
         if cached is not None:
             return cached
-        d = ChowElement.of_divisor(D)
+        # integer entries, so both products run on ints; only the scalings
+        # by 1/2 and 1/6 below make fractions
+        d = ChowElement(0, (D.nH, D.nh, D.nk), (0, 0, 0), 0)
         d2 = self.chow_mul(d, d)
         d3 = self.chow_mul(d2, d)
         out = ONE + d + d2.scale(Q(1, 2)) + d3.scale(Q(1, 6))

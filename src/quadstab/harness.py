@@ -723,17 +723,20 @@ def _check_props_euler(ctx: Context) -> tuple[bool, str, str]:
     named = []
     if ctx.config.twist == DEFAULT_TWIST:
         named = [ctx.names[n] for n in ("G", "F", "Ecal")]
+    # each object with its class, taken once before the pair loop
+    atom_cls = [(x, calc.class_of(x)) for x in atoms]
+    named_cls = [(x, calc.class_of(x)) for x in named]
     bad = 0
     determined = 0
     total = 0
-    pairs = [(x, y) for x in atoms for y in atoms]
-    pairs += [(x, y) for x in named for y in atoms]
-    pairs += [(x, y) for x in atoms for y in named]
-    pairs += [(x, y) for x in named for y in named]
-    for x, y in pairs:
+    pairs = [(x, y) for x in atom_cls for y in atom_cls]
+    pairs += [(x, y) for x in named_cls for y in atom_cls]
+    pairs += [(x, y) for x in atom_cls for y in named_cls]
+    pairs += [(x, y) for x in named_cls for y in named_cls]
+    for (x, cx), (y, cy) in pairs:
         total += 1
         r = calc.rhom(x, y)
-        expected = kt.euler_pairing(calc.class_of(x), calc.class_of(y))
+        expected = kt.euler_pairing(cx, cy)
         if r.euler != expected:
             bad += 1
         if r.status == "determined":

@@ -6,8 +6,10 @@ O(H+h+k).  Line classes, tensor products and the Serre twist are computed in
 the K-ring from its relations, and the Euler pairing is x^T G y with an
 integer Gram matrix G of values chi(O(D)) from Geometry.euler_characteristic,
 the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
-props.hrr-vs-cohomology check).  The rational pairing Geometry.hrr_euler on
-Chern characters is only the test oracle these are checked against.
+props.hrr-vs-cohomology check).  The covector x^T G of each left argument is
+computed once and kept, so a pairing is one dot product of eight integers.
+The rational pairing Geometry.hrr_euler on Chern characters is only the test
+oracle these are checked against.
 Sublattices are kept in Hermite normal form, integer systems are solved
 against it (integer_solution), and quotients are computed by a Smith normal
 form built from alternating row and column Hermite forms.  The determinant
@@ -300,13 +302,15 @@ class KTheory:
     and its additive basis x^i y^j z^k (i, j, k in {0, 1}) is the line-bundle
     basis SOD1_DIVISORS.  Line classes and products come from these
     relations; the Euler pairing from an integer Gram matrix built on first
-    use by Hirzebruch-Riemann-Roch.
+    use by Hirzebruch-Riemann-Roch, as the covector x^T G, memoized per
+    class x, dotted with y.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self._lines: dict[DivisorClass, KClass] = {}
         self._gram: Optional[list[list[int]]] = None
+        self._covectors: dict[KClass, tuple[int, ...]] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -382,11 +386,13 @@ class KTheory:
         return self._gram
 
     def euler_pairing(self, x: KClass, y: KClass) -> int:
-        return sum(
-            xi * sum(map(operator.mul, row, y))
-            for xi, row in zip(x, self._gram_rows())
-            if xi
-        )
+        """chi(x, y) = x^T G y, as the covector x^T G (kept per x) dotted with y."""
+        covector = self._covectors.get(x)
+        if covector is None:
+            covector = self._covectors[x] = tuple(
+                sum(map(operator.mul, x, column)) for column in zip(*self._gram_rows())
+            )
+        return sum(map(operator.mul, covector, y))
 
     def serre_class(self, x: KClass) -> KClass:
         return -self.tensor_line(x, self.geometry.canonical_class())

@@ -26,8 +26,16 @@ from quadstab.expressions import (
     Zero,
     parse_object,
 )
-from quadstab.calculus import Calculus, PreconditionError, RHomResult, SoundnessError
+from quadstab.calculus import (
+    MAX_COPIES,
+    Calculus,
+    CopyLimitError,
+    PreconditionError,
+    RHomResult,
+    SoundnessError,
+)
 from quadstab.harness import Context, _corpus, default_config, run_checks
+from quadstab.lattice import KTheory
 
 D = DivisorClass
 S = SurfaceDivisor
@@ -435,6 +443,22 @@ class TestTwistMemo:
         assert calc.tensor_line(x, omega) == Calculus(Geometry()).tensor_line(x, omega)
 
 
+class TestCopyLimit:
+    """A mutation cone holds one copy of e per dimension of a Hom space; past
+    MAX_COPIES the calculus refuses before building any of them."""
+
+    @pytest.mark.parametrize("text", ["L(O(),O(10000H))", "R(O(10000H),O())", "L(O(),O(30H))"])
+    def test_refused_past_the_limit(self, text):
+        with pytest.raises(CopyLimitError, match=f"more than the limit {MAX_COPIES}"):
+            Calculus(Geometry()).normalize(parse_object(text))
+
+    def test_below_the_limit_builds_the_sum(self):
+        calc = Calculus(Geometry())
+        # RHom(O, O(20H)) = {0: 3311}
+        out = calc.normalize(parse_object("L(O(),O(20H))"))
+        assert isinstance(out.source, Sum) and len(out.source.children) == 3311
+
+
 R3 = range(-3, 4)
 LINE_GRID = [LineAtom(D(a, b, c)) for a in R3 for b in R3 for c in R3]
 PUSH_GRID = [PushAtom(S(d, e)) for d in R3 for e in R3]
@@ -493,7 +517,8 @@ class TestAtomMemo:
 class TestReportOpCounts:
     """The default report reuses atom values by divisor difference: without
     the atom memo it makes about 25,000 cohomology calls and 23,900 pair
-    memo entries."""
+    memo entries.  Its 25,884 Euler pairings have 341 distinct left
+    classes, and the pairing keeps one covector per left class."""
 
     def test_default_report(self, monkeypatch):
         calls = {"n": 0}
@@ -510,12 +535,21 @@ class TestReportOpCounts:
 
         for name in ("threefold_cohomology", "surface_cohomology"):
             monkeypatch.setattr(Geometry, name, counting(name))
+        lefts = set()
+        pairing = KTheory.euler_pairing
+
+        def recording(kt, x, y):
+            lefts.add(x)
+            return pairing(kt, x, y)
+
+        monkeypatch.setattr(KTheory, "euler_pairing", recording)
         ctx = Context(default_config())
         results = run_checks(ctx)
         assert all(r.status == "pass" for r in results)
         assert calls["n"] <= 7000
         assert len(ctx.calc._rhom_memo) <= 2000
         assert len(ctx.calc._atom_memo) <= 1000
+        assert len(ctx.kt._covectors) <= len(lefts) <= 400
 
 
 class TestRHomResult:

@@ -345,3 +345,29 @@ class TestGradedDims:
     def test_negative_dimension_rejected_with_geometry_error(self):
         with pytest.raises(GeometryError, match="negative dimension -2 in degree 1"):
             GradedDims({0: 1, 1: -2})
+
+    @staticmethod
+    def fresh_euler(d):
+        return sum(v if deg % 2 == 0 else -v for deg, v in d.items())
+
+    def test_cached_euler_equals_a_fresh_one(self):
+        # euler() is kept after its first call; no operation may hand on
+        # the kept Euler number of its operand
+        rng = random.Random(2026)
+        for _ in range(300):
+            a, b = (GradedDims({d: rng.randint(0, 4) for d in range(-3, 4)}) for _ in "ab")
+            a.euler(), b.euler()
+            t = rng.randint(-3, 3)
+            for out in (a.translate(t), a.dual(t), a + b, a.join(b), a.meet(b), a.monus(b)):
+                assert out.euler() == self.fresh_euler(out)
+                assert out.euler() == out.euler()  # the kept value
+            assert a.euler() == self.fresh_euler(a)
+
+    def test_cached_euler_does_not_change_equality_or_hash(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            data = {d: rng.randint(0, 3) for d in range(-2, 3)}
+            cached, plain = GradedDims(data), GradedDims(dict(reversed(list(data.items()))))
+            cached.euler()
+            assert cached == plain and plain == cached and hash(cached) == hash(plain)
+            assert len({cached, plain}) == 1

@@ -11,6 +11,7 @@ import pytest
 
 import quadstab
 from quadstab import harness
+from quadstab.calculus import MAX_COPIES
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
 
 from quadstab.harness import (
@@ -256,6 +257,23 @@ class TestHugeCoefficients:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_mutation_past_the_copy_limit_exits_2(self):
+        # inside MAX_COEFFICIENT, but RHom(O, O(10000H)) has 333,483,355,001
+        # dimensions: one copy of O() each in the evaluation cone
+        env = dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadstab", "mutate", "L", "O()", "O(10000H)"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "333483355001" in lines[0] and f"{MAX_COPIES}" in lines[0]
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, full_results, second_results):
@@ -356,6 +374,25 @@ class TestBenchmarkGolden:
     def test_report_json_byte_identical(self, full_results):
         golden = (self.GOLDEN / "report.json").read_text(encoding="utf-8")
         assert emit_report(full_results, "json", DEFAULT_TWIST) + "\n" == golden
+
+    def test_report_json_byte_identical_under_python_O(self):
+        # soundness invariants raise SoundnessError, not AssertionError, so
+        # the report must not change when asserts are off
+        script = (
+            "from quadstab.harness import DEFAULT_TWIST, emit_report, run_checks\n"
+            "assert False, 'asserts must be off'\n"
+            "print(emit_report(run_checks(), 'json', DEFAULT_TWIST))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout == (self.GOLDEN / "report.json").read_text(encoding="utf-8")
 
     def test_cli_pool_as_recorded(self, capsys):
         queries = json.loads((self.GOLDEN / "cli_pool.json").read_text(encoding="utf-8"))["queries"]

@@ -395,6 +395,42 @@ class TestOtherTwists:
                 assert kt.euler_pairing(x, y) == kt.euler_pairing(y, kt.serre_class(x))
 
 
+class TestPairingCovector:
+    """euler_pairing is the covector x^T G, kept per x, dotted with y; it
+    must equal the unfactored double sum whatever the memo holds."""
+
+    @staticmethod
+    def classes(rng):
+        """The zero class, the 8 basis vectors and seeded vectors with
+        negative coordinates."""
+        out = [(0,) * 8]
+        out += [tuple(int(i == j) for j in range(8)) for i in range(8)]
+        out += [tuple(rng.randint(-6, 6) for _ in range(8)) for _ in range(40)]
+        return out
+
+    @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (2, 3)])
+    def test_equals_the_double_sum(self, twist):
+        g = Geometry(GeometryConfig(*twist))
+        G = [[g.euler_characteristic(Dj - Di) for Dj in SOD1_DIVISORS] for Di in SOD1_DIVISORS]
+        kt = KTheory(g)
+        coords = self.classes(random.Random(str(twist)))
+        for x in coords:
+            for y in coords:
+                expected = sum(x[i] * G[i][j] * y[j] for i in range(8) for j in range(8))
+                assert kt.euler_pairing(kt.from_coordinates(x), kt.from_coordinates(y)) == expected
+
+    @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (2, 3)])
+    def test_independent_of_memo_state(self, twist):
+        coords = self.classes(random.Random(31))
+        warm = KTheory(Geometry(GeometryConfig(*twist)))
+        classes = [warm.from_coordinates(c) for c in coords]
+        pairs = [(x, y) for x in classes for y in classes]
+        warmed = {(x, y): warm.euler_pairing(x, y) for x, y in reversed(pairs)}
+        fresh = KTheory(Geometry(GeometryConfig(*twist)))
+        assert [fresh.euler_pairing(x, y) for x, y in pairs] == [warmed[p] for p in pairs]
+        assert len(warm._covectors) == len(set(classes))
+
+
 class TestKernelLattice:
     def test_rank_two(self, ctx, kt):
         assert ctx.kernel_lattice().rank == 2
