@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
-from .lattice import KClass, KTheory
+from .lattice import SOD1_DIVISORS, KClass, KTheory
 from .expressions import (
     Cone,
     FormalObject,
@@ -825,8 +825,6 @@ class Calculus:
     # ------------------------------------------------------------------
 
     def probe_panel(self) -> list[FormalObject]:
-        from .lattice import SOD1_DIVISORS
-
         panel: list[FormalObject] = [LineAtom(D) for D in SOD1_DIVISORS]
         panel.append(PushAtom(SurfaceDivisor(-1, 0)))
         panel.append(PushAtom(SurfaceDivisor(0, -1)))

@@ -65,7 +65,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("expression")
 
     p = sub.add_parser("gram", help="Euler-pairing gram matrix")
-    p.add_argument("objects", nargs="+", help="collection name (SOD1, SOD2, TRIPLE) or expressions")
+    names = ", ".join(Context.COLLECTIONS)
+    p.add_argument("objects", nargs="+", help=f"collection name ({names}) or expressions")
 
     sub.add_parser("kernel", help="pushforward-kernel lattice and its quotient")
 
@@ -136,7 +137,7 @@ def _dispatch(args, ctx: Context) -> int:
         print(f"coordinates: [{', '.join(map(str, coords))}]")
         return 0
     if args.command == "gram":
-        if len(args.objects) == 1 and args.objects[0] in ("SOD1", "SOD2", "TRIPLE"):
+        if len(args.objects) == 1 and args.objects[0] in Context.COLLECTIONS:
             objects = ctx.collection(args.objects[0])
         else:
             objects = [ctx.obj(text) for text in args.objects]

@@ -136,17 +136,6 @@ class MutateRightNode(FormalObject):
     e: FormalObject
 
 
-PROVENANCES = ("evaluation", "restriction", "euler", "universalExtension", "unspecified")
-
-
-def line(nH: int = 0, nh: int = 0, nk: int = 0) -> LineAtom:
-    return LineAtom(DivisorClass(nH, nh, nk))
-
-
-def push(d: int, e: int) -> PushAtom:
-    return PushAtom(SurfaceDivisor(d, e))
-
-
 def shifted(x: FormalObject, n: int) -> FormalObject:
     if n == 0:
         return x

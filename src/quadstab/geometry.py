@@ -32,10 +32,6 @@ class GeometryConfig:
     a: int = -1
     b: int = -1
 
-    @property
-    def twist(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -62,9 +58,6 @@ class DivisorClass:
             mag = "" if abs(coeff) == 1 else str(abs(coeff))
             parts.append(("-" if coeff < 0 else ("+" if parts else "")) + mag + sym)
         return "".join(parts) if parts else "0"
-
-
-ZERO_DIVISOR = DivisorClass(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -192,10 +185,6 @@ class GradedDims:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._dims.items()))
-
-    def degrees(self):
-        """The degrees of nonzero dimension, as a set-like view in no order."""
-        return self._dims.keys()
 
     def get(self, deg: int) -> int:
         return self._dims.get(deg, 0)

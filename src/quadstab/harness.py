@@ -29,6 +29,7 @@ from .geometry import (
     Q,
 )
 from .lattice import (
+    SOD1_DIVISORS,
     IntegerLattice,
     KClass,
     LatticeError,
@@ -47,8 +48,8 @@ from .expressions import (
 from .calculus import AmbiguityError, Calculus, PreconditionError
 from .stability import (
     CentralCharge,
+    DescentReport,
     Heart,
-    QuadraticForm,
     StabilityError,
     check_weak_stability_condition,
     descend,
@@ -252,7 +253,7 @@ class Context:
         self._resolved: Optional[ResolvedConfig] = None
         self._names: Optional[dict[str, FormalObject]] = None
         self._hearts: Union[dict[str, Heart], Exception, None] = None
-        self._descent_cache = None
+        self._descent: Optional[DescentReport] = None
 
     def resolve(self) -> ResolvedConfig:
         if self._resolved is None:
@@ -294,8 +295,6 @@ class Context:
         return self.calc.normalize(parse_object(text, self.names))
 
     def sod1_objects(self) -> list[FormalObject]:
-        from .lattice import SOD1_DIVISORS
-
         return [LineAtom(D) for D in SOD1_DIVISORS]
 
     def sod2_objects(self) -> list[FormalObject]:
@@ -313,15 +312,12 @@ class Context:
     def triple_objects(self) -> list[FormalObject]:
         return [self.obj("O(-h)"), self.names["G"], self.names["F"]]
 
+    COLLECTIONS = {"SOD1": sod1_objects, "SOD2": sod2_objects, "TRIPLE": triple_objects}
+
     def collection(self, name: str) -> list[FormalObject]:
-        table = {
-            "SOD1": self.sod1_objects,
-            "SOD2": self.sod2_objects,
-            "TRIPLE": self.triple_objects,
-        }
-        if name not in table:
+        if name not in self.COLLECTIONS:
             raise ConfigError(f"unknown collection {name!r}")
-        return table[name]()
+        return self.COLLECTIONS[name](self)
 
     def kernel_classes(self) -> list[KClass]:
         e_cls = self.calc.class_of(self.names["Ecal"])
@@ -335,12 +331,12 @@ class Context:
     def kernel_lattice(self) -> IntegerLattice:
         return lattice_from(self.kt, self.kernel_classes())
 
-    def descent(self):
-        if self._descent_cache is None:
-            heart = self.hearts["Atilde"]
-            _, Z = self.charges["Z_up"]
-            self._descent_cache = descend(self.calc, heart, self.kernel_classes(), Z)
-        return self._descent_cache
+    def descent(self) -> DescentReport:
+        """The descent of the charge Z_up and the heart its config line names."""
+        if self._descent is None:
+            heart_name, Z = self.charges["Z_up"]
+            self._descent = descend(self.calc, self.hearts[heart_name], self.kernel_classes(), Z)
+        return self._descent
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +640,10 @@ def _check_descent_kerz(ctx: Context) -> tuple[bool, str, str]:
 
 
 def _check_descent_quotient(ctx: Context) -> tuple[bool, str, str]:
-    rep = ctx.descent()
-    ok = rep.quotient_built.ok and rep.quotient.rank == 1 and not rep.quotient.torsion
-    return ok, "rank 1, torsion-free", rep.quotient_built.detail
+    quot = ctx.descent().quotient
+    ok = quot.rank == 1 and not quot.torsion
+    detail = f"quotient rank {quot.rank}, torsion {list(quot.torsion) or 'none'}"
+    return ok, "rank 1, torsion-free", detail
 
 
 def _check_descent_strong(ctx: Context) -> tuple[bool, str, str]:
@@ -655,11 +652,8 @@ def _check_descent_strong(ctx: Context) -> tuple[bool, str, str]:
 
 
 def _check_axioms_upstairs(ctx: Context) -> tuple[bool, str, str]:
-    heart = ctx.hearts["Atilde"]
-    _, Z = ctx.charges["Z_up"]
-    rep = check_weak_stability_condition(
-        heart, Z, mode="weak", quotient_data=ctx.descent().quotient
-    )
+    heart_name, Z = ctx.charges["Z_up"]
+    rep = check_weak_stability_condition(ctx.hearts[heart_name], Z, ctx.descent())
     # the torsion-pair charge on B: slope of the third simple is smallest
     _, ZB = ctx.charges["Z_B"]
     s1 = slope(ZB, [1, 0, 0])
@@ -675,22 +669,13 @@ def _check_axioms_upstairs(ctx: Context) -> tuple[bool, str, str]:
 
 
 def _check_axioms_downstairs(ctx: Context) -> tuple[bool, str, str]:
+    # induced_strong covers every nonzero image: each has a simple's charge
     rep = ctx.descent()
-    quot = rep.quotient
-    induced = CentralCharge(rep.induced_values)
-    nonzero_images = [img for img in rep.simple_images if any(img)]
-    from .stability import check_support
-
-    support = check_support(induced, QuadraticForm.zero(quot.rank), quot.rank, nonzero_images)
-    strong_values = all(
-        im > 0 or (im == 0 and re < 0)
-        for re, im in (induced.value(img) for img in nonzero_images)
-    )
-    ok = rep.induced_strong.ok and support.ok and strong_values and quot.rank == 1
+    ok = rep.induced_strong.ok and rep.support.ok and rep.quotient.rank == 1
     return (
         ok,
         "strong stability + support on the rank-1 quotient",
-        f"strong: {rep.induced_strong.ok}, support: {support.ok}",
+        f"strong: {rep.induced_strong.ok}, support: {rep.support.ok}",
     )
 
 

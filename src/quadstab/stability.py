@@ -3,8 +3,11 @@
 Hearts are presented by their simple objects; every verification is decided
 on the simples together with the sign structure of the positive cone, with
 exact rational arithmetic throughout.  Harder-Narasimhan data is computed
-only for direct sums of simples; for finite-length hearts the HN property
-itself is automatic and recorded as such.
+only for direct sums of simples; for a finite-length heart the HN property
+itself is automatic.  descend(calc, heart, kernel_classes, Z) is the only
+code that builds the downstairs data (quotient, induced charge and its
+support report); check_weak_stability_condition(heart, Z, descent) reads the
+support from it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class Heart:
     simples: tuple[FormalObject, ...]
     classes: tuple[KClass, ...]
     hom_table: tuple[tuple[GradedDims, ...], ...]
-    provenance: str
 
     def __len__(self) -> int:
         return len(self.simples)
@@ -75,6 +77,10 @@ class CentralCharge:
         return CentralCharge(tuple((Q(re), Q(im)) for re, im in pairs))
 
     def value(self, coeffs: Sequence[int]) -> tuple[Q, Q]:
+        if len(coeffs) != len(self.values):
+            raise StabilityError(
+                f"{len(coeffs)} coefficients for a charge on {len(self.values)} simples"
+            )
         re = sum((Q(c) * v[0] for c, v in zip(coeffs, self.values)), Q(0))
         im = sum((Q(c) * v[1] for c, v in zip(coeffs, self.values)), Q(0))
         return (re, im)
@@ -125,11 +131,8 @@ class QuadraticForm:
 # ---------------------------------------------------------------------------
 
 
-def make_heart(
-    calc: Calculus,
-    simples: Sequence[tuple[str, FormalObject]],
-    provenance: str = "extExceptional",
-) -> Heart:
+def make_heart(calc: Calculus, simples: Sequence[tuple[str, FormalObject]]) -> Heart:
+    """The heart of the Ext-exceptional collection given as (label, object) simples."""
     labels = tuple(lbl for lbl, _ in simples)
     objects = tuple(calc.normalize(obj) for _, obj in simples)
     report = calc.is_ext_exceptional(objects)
@@ -144,19 +147,17 @@ def make_heart(
         for i, j, msg in report.ambiguous:
             detail.append(f"({labels[i]}, {labels[j]}): {msg}")
         raise PreconditionError("not an Ext-exceptional collection: " + "; ".join(detail))
+    return _build_heart(calc, labels, objects)
+
+
+def _build_heart(
+    calc: Calculus, labels: tuple[str, ...], objects: tuple[FormalObject, ...]
+) -> Heart:
+    """The heart on normalized simples with independent classes and determined Homs."""
     classes = tuple(calc.class_of(x) for x in objects)
-    _require_independent(calc, classes)
-    table = _rebuild_hom_table(calc, objects)
-    return Heart(labels, objects, classes, table, provenance)
-
-
-def _require_independent(calc: Calculus, classes: Sequence[KClass]) -> None:
     rows = [calc.ktheory.coordinates(c) for c in classes]
     if IntegerLattice(8, rows).rank != len(classes):
         raise PreconditionError("classes of simples are linearly dependent")
-
-
-def _rebuild_hom_table(calc: Calculus, objects: Sequence[FormalObject]) -> tuple:
     table = []
     for x in objects:
         row = []
@@ -168,7 +169,7 @@ def _rebuild_hom_table(calc: Calculus, objects: Sequence[FormalObject]) -> tuple
                 )
             row.append(r.dims)
         table.append(tuple(row))
-    return tuple(table)
+    return Heart(labels, objects, classes, tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +190,24 @@ def slope(Z: CentralCharge, v: Sequence[int]) -> Slope:
 
 @dataclass(frozen=True)
 class StabilityFunctionReport:
-    ok: bool
-    mode: str
+    ok: bool  # Z is a weak stability function
     failures: tuple[str, ...]
     kernel_directions: tuple[int, ...]
 
+    @property
+    def strong(self) -> bool:
+        """Z is a strong stability function: weak, with no simple of charge zero."""
+        return self.ok and not self.kernel_directions
 
-def check_stability_function(
-    heart: Heart, Z: CentralCharge, mode: str = "weak"
-) -> StabilityFunctionReport:
-    """Check the (weak) positivity axiom on the positive cone of the heart.
+
+def check_stability_function(heart: Heart, Z: CentralCharge) -> StabilityFunctionReport:
+    """Check the weak positivity axiom on the positive cone of the heart.
 
     Every nonzero nonnegative combination of simples lands in the allowed
     half-plane as soon as every simple does, since the region is closed
-    under addition; a simple of charge zero is a kernel direction and is
-    permitted only in weak mode.
+    under addition; a simple of charge zero is a kernel direction, which a
+    weak stability function permits and a strong one does not.
     """
-    if mode not in ("weak", "strong"):
-        raise StabilityError(f"unknown mode {mode!r}")
     if len(Z) != len(heart):
         raise StabilityError("charge length does not match number of simples")
     failures: list[str] = []
@@ -217,16 +218,12 @@ def check_stability_function(
         elif im == 0:
             if re == 0:
                 kernel_dirs.append(i)
-                if mode == "strong":
-                    failures.append(
-                        f"simple {heart.labels[i]} has Z = 0 (kernel direction)"
-                    )
             elif re > 0:
                 failures.append(
                     f"simple {heart.labels[i]} maps to the positive real axis"
                 )
     return StabilityFunctionReport(
-        ok=not failures, mode=mode, failures=tuple(failures), kernel_directions=tuple(kernel_dirs)
+        ok=not failures, failures=tuple(failures), kernel_directions=tuple(kernel_dirs)
     )
 
 
@@ -289,21 +286,14 @@ def tilt_at(calc: Calculus, heart: Heart, j: int) -> Heart:
         copies = Sum(tuple([S] * d)) if d > 1 else S
         ext = Cone(shifted(heart.simples[i], -1), copies, "universalExtension", None)
         new.append((f"ext({heart.labels[i]},{heart.labels[j]})", calc.normalize(ext)))
-    labels = tuple(lbl for lbl, _ in new)
-    objects = tuple(obj for _, obj in new)
-    classes = tuple(calc.class_of(x) for x in objects)
-    _require_independent(calc, classes)
-    table = _rebuild_hom_table(calc, objects)
-    tilted = Heart(labels, objects, classes, table, f"tiltOf({heart.provenance},{j})")
+    labels, objects = zip(*new)
+    tilted = _build_heart(calc, labels, objects)
     # class bookkeeping: new classes sum to -[S_j] + sum_i ([S_i] + d_i [S_j])
     expected = heart.classes[j].scale(-1)
     for i in range(n):
         if i != j:
             expected = expected + heart.classes[i] + heart.classes[j].scale(multiplicities[i])
-    total = classes[0]
-    for c in classes[1:]:
-        total = total + c
-    if total != expected:
+    if sum(tilted.classes[1:], tilted.classes[0]) != expected:
         raise SoundnessError("tilt class bookkeeping failed")
     return tilted
 
@@ -329,7 +319,6 @@ class SupportReport:
     kernel_rank: int
     negative_definite: bool
     nonnegative_on_classes: bool
-    detail: str = ""
 
 
 def check_support(
@@ -390,21 +379,22 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DescentReport:
+    """Three verdicts and the data they were decided on: the quotient of Z^n
+    (simple coordinates) by the kernel lattice, the charge induced on its
+    free generators, and that charge's support report for the zero form."""
+
     serre_generator: Verdict
     kernel_matches_ker_z: Verdict
-    quotient_built: Verdict
     induced_strong: Verdict
-    quotient: Optional[LatticeQuotient]
-    kernel_in_simple_coords: Optional[IntegerLattice]
-    induced_values: tuple[tuple[Q, Q], ...]
-    simple_images: tuple[tuple[int, ...], ...]
+    quotient: LatticeQuotient
+    induced: CentralCharge
+    support: SupportReport
 
     @property
     def ok(self) -> bool:
         return (
             self.serre_generator.ok
             and self.kernel_matches_ker_z.ok
-            and self.quotient_built.ok
             and self.induced_strong.ok
         )
 
@@ -420,10 +410,14 @@ def descend(
     Checks, in order: the kernel lattice is generated by classes visible in
     the positive cone of the heart (a designated simple together with
     difference vectors of simples); ker Z equals the kernel lattice; the
-    quotient is built with its rank and torsion; the induced charge is well
-    defined and a strong stability function on the image of the cone.
+    induced charge on the quotient (by Smith normal form) is well defined
+    and a strong stability function on the image of the cone.  A nonzero
+    image has the charge of a simple checked here, so the strong verdict
+    covers every nonzero image.
     """
     n = len(heart)
+    if len(Z) != n:
+        raise StabilityError("charge length does not match number of simples")
     units = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     simple_rows = [calc.ktheory.coordinates(c) for c in heart.classes]
 
@@ -474,22 +468,15 @@ def descend(
     else:
         v2 = Verdict(False, f"ker Z = {ker_z} but kernel lattice = {kernel}")
 
-    # (3) quotient by Smith normal form
-    ambient = IntegerLattice(n, units)
-    quot = lattice_quotient(ambient, kernel)
-    v3 = Verdict(
-        True,
-        f"quotient rank {quot.rank}, torsion {list(quot.torsion) or 'none'}",
-    )
-
-    # (4) induced charge: well defined on the quotient and strong on the image
+    # (3) induced charge: well defined on the quotient and strong on the image
+    quot = lattice_quotient(IntegerLattice(n, units), kernel)
     problems: list[str] = []
     for row in kernel.hnf:
         if Z.value(row) != (Q(0), Q(0)):
             problems.append(f"Z does not vanish on kernel generator {list(row)}")
-    induced = tuple(Z.value(lift) for lift in quot.lift)
-    images = quot.projection
-    if not any(any(img) for img in images):
+    induced = CentralCharge(tuple(Z.value(lift) for lift in quot.lift))
+    nonzero_images = [img for img in quot.projection if any(img)]
+    if not nonzero_images:
         problems.append(
             "no simple survives in the quotient; the induced charge is zero"
         )
@@ -505,23 +492,22 @@ def descend(
                 f"image of simple {heart.labels[i]} violates the strong positivity"
             )
         # functoriality: induced charge of the image equals the original value
-        proj_val_re = sum((Q(images[i][t]) * induced[t][0] for t in range(quot.rank)), Q(0))
-        proj_val_im = sum((Q(images[i][t]) * induced[t][1] for t in range(quot.rank)), Q(0))
-        if (proj_val_re, proj_val_im) != (re, im):
+        if induced.value(quot.projection[i]) != (re, im):
             problems.append(
                 f"induced charge disagrees with Z on simple {heart.labels[i]}"
             )
-    v4 = Verdict(not problems, "; ".join(problems) if problems else "induced charge is strong")
+    v3 = Verdict(not problems, "; ".join(problems) if problems else "induced charge is strong")
+    support = check_support(
+        induced, QuadraticForm.zero(quot.rank), quot.rank, nonzero_images
+    )
 
     return DescentReport(
         serre_generator=v1,
         kernel_matches_ker_z=v2,
-        quotient_built=v3,
-        induced_strong=v4,
+        induced_strong=v3,
         quotient=quot,
-        kernel_in_simple_coords=kernel,
-        induced_values=induced,
-        simple_images=images,
+        induced=induced,
+        support=support,
     )
 
 
@@ -534,36 +520,25 @@ def descend(
 class AxiomReport:
     ok: bool
     stability_function: StabilityFunctionReport
-    hn_property: Verdict
     support: SupportReport
 
 
 def check_weak_stability_condition(
-    heart: Heart,
-    Z: CentralCharge,
-    Qform: Optional[QuadraticForm] = None,
-    mode: str = "weak",
-    quotient_data: Optional[LatticeQuotient] = None,
+    heart: Heart, Z: CentralCharge, descent: Optional[DescentReport] = None
 ) -> AxiomReport:
-    """Bundle the three axioms for the pair (heart, Z).
+    """Check that (heart, Z) is a weak stability condition.
 
-    The stability-function axiom is checked in the requested mode; the HN
-    property is automatic for a finite-length heart presented by simples and
-    recorded as such; the support property is checked against the given
-    quadratic form, on the quotient lattice when quotient data is supplied
-    and on the simple-coordinate lattice otherwise.
+    The weak stability-function axiom is checked on the simples.  The HN
+    property is automatic for a finite-length heart presented by simples.
+    The support property, for the zero form, is the one ``descent`` decided
+    on the quotient by ker Z; without a descent it is checked on the
+    simple-coordinate lattice, which is right only when Z has no kernel.
     """
-    sf = check_stability_function(heart, Z, mode)
-    hn = Verdict(True, "finite-length heart: HN filtrations are automatic")
-    if quotient_data is not None:
-        rank = quotient_data.rank
-        images = quotient_data.projection
-        induced = [Z.value(lift) for lift in quotient_data.lift]
-        Zq = CentralCharge(tuple(induced))
-        q = Qform or QuadraticForm.zero(rank)
-        support = check_support(Zq, q, rank, [img for img in images if any(img)])
+    sf = check_stability_function(heart, Z)
+    if descent is not None:
+        support = descent.support
     else:
-        q = Qform or QuadraticForm.zero(len(heart))
-        units = [[1 if t == i else 0 for t in range(len(heart))] for i in range(len(heart))]
-        support = check_support(Z, q, len(heart), units)
-    return AxiomReport(ok=sf.ok and hn.ok and support.ok, stability_function=sf, hn_property=hn, support=support)
+        n = len(heart)
+        units = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
+        support = check_support(Z, QuadraticForm.zero(n), n, units)
+    return AxiomReport(ok=sf.ok and support.ok, stability_function=sf, support=support)

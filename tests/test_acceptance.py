@@ -17,10 +17,7 @@ from quadstab.expressions import LineAtom, PushAtom, Shift, parse_object, pretty
 from quadstab.harness import _corpus, run_checks, default_config
 from quadstab.lattice import IntegerLattice, quotient, solve_rational
 from quadstab.stability import (
-    CentralCharge,
-    QuadraticForm,
     check_stability_function,
-    check_support,
     check_weak_stability_condition,
     descend,
 )
@@ -166,19 +163,13 @@ def test_c08_sphericality(ctx):
 def test_c09_stability(ctx):
     heart = ctx.hearts["Atilde"]
     _, Z = ctx.charges["Z_up"]
-    weak = check_stability_function(heart, Z, "weak")
+    weak = check_stability_function(heart, Z)
     rep = descend(ctx.calc, heart, ctx.kernel_classes(), Z)
-    upstairs = check_weak_stability_condition(
-        heart, Z, mode="weak", quotient_data=rep.quotient
-    )
-    induced = CentralCharge(rep.induced_values)
-    nonzero = [img for img in rep.simple_images if any(img)]
-    support = check_support(
-        induced, QuadraticForm.zero(rep.quotient.rank), rep.quotient.rank, nonzero
-    )
+    upstairs = check_weak_stability_condition(heart, Z, rep)
+    nonzero = [img for img in rep.quotient.projection if any(img)]
     strong_down = all(
         im > 0 or (im == 0 and re < 0)
-        for re, im in (induced.value(img) for img in nonzero)
+        for re, im in (rep.induced.value(img) for img in nonzero)
     )
     ok = (
         weak.ok
@@ -186,7 +177,7 @@ def test_c09_stability(ctx):
         and rep.kernel_matches_ker_z.ok
         and rep.quotient.rank == 1
         and rep.quotient.torsion == ()
-        and support.ok
+        and rep.support.ok
         and strong_down
         and rep.ok
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quadstab
-from quadstab import harness
+from quadstab import harness, stability
 from quadstab.calculus import MAX_COPIES
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
 
@@ -364,6 +364,82 @@ class TestBrokenHeart:
         assert [r.status for r in results] == ["ambiguous"] * 3
         assert len({r.actual for r in results}) == 1
         assert results[0].actual.startswith("PreconditionError: ")
+
+
+class TestOneDescent:
+    """descend builds the downstairs data once, support report included, and
+    both axioms checks read that report."""
+
+    AXIOMS = ("axioms.weak-upstairs", "axioms.bridgeland-downstairs")
+
+    @pytest.fixture
+    def support_calls(self, monkeypatch):
+        calls = []
+        real = stability.check_support
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stability, "check_support", counting)
+        return calls
+
+    def test_default_run_checks_makes_one_support_check(self, support_calls):
+        results = run_checks(default_config())
+        assert {r.status for r in results} == {"pass"}
+        assert len(support_calls) == 1
+
+    def test_axioms_checks_see_the_same_support_report(self, monkeypatch, support_calls):
+        seen = []
+        real = harness.check_weak_stability_condition
+
+        def spying(*args):
+            report = real(*args)
+            seen.append(report.support)
+            return report
+
+        monkeypatch.setattr(harness, "check_weak_stability_condition", spying)
+        ctx = Context(default_config())
+        results = run_checks(ctx, self.AXIOMS)
+        assert [r.status for r in results] == ["pass", "pass"]
+        assert len(support_calls) == 1
+        assert len(seen) == 1 and seen[0] is ctx.descent().support
+        assert all("support: True" in r.actual for r in results)
+
+
+class TestChargesOnTheirHearts:
+    """A charge is read on the heart its config line names, and a charge
+    evaluated on a vector of another length is an error, not a truncation."""
+
+    DESCENT_CHECKS = (
+        "descent.serre-generator",
+        "descent.kerZ",
+        "descent.quotient",
+        "descent.strong-downstairs",
+        "axioms.weak-upstairs",
+        "axioms.bridgeland-downstairs",
+    )
+
+    @staticmethod
+    def config(old: str, new: str) -> HarnessConfig:
+        """The default config with a heart C = O(-h) ; G and one line replaced."""
+        text = DEFAULT_CONFIG_TEXT.replace("Atilde = tilt B 3\n", "Atilde = tilt B 3\nC = O(-h) ; G\n")
+        assert old in text
+        return HarnessConfig.from_text(text.replace(old, new))
+
+    def test_short_z_b_is_refused(self):
+        cfg = self.config("Z_B = B ; (0,1) ; (0,1) ; (1,1/100)", "Z_B = C ; (0,1) ; (-1,1)")
+        results = run_checks(cfg, ("axioms.weak-upstairs",))
+        assert [r.status for r in results] == ["ambiguous"]
+        assert results[0].actual == "StabilityError: 3 coefficients for a charge on 2 simples"
+
+    def test_z_up_descends_on_the_heart_it_names(self):
+        cfg = self.config("Z_up = Atilde ; (0,1) ; (0,0) ; (0,1)", "Z_up = C ; (0,1) ; (0,1)")
+        results = run_checks(cfg, self.DESCENT_CHECKS)
+        assert [r.status for r in results] == ["ambiguous"] * len(self.DESCENT_CHECKS)
+        assert {r.actual for r in results} == {
+            "StabilityError: kernel class is not an integer combination of the simple classes"
+        }
 
 
 class TestBenchmarkGolden:

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,6 @@ def Z_up(ctx):
 class TestMakeHeart:
     def test_heart_from_shifted_triple(self, ctx, heart_B):
         assert len(heart_B) == 3
-        assert heart_B.provenance == "extExceptional"
         # hom table diagonal: one-dimensional endomorphisms
         for i in range(3):
             assert heart_B.hom_table[i][i] == GradedDims({0: 1})
@@ -95,25 +95,53 @@ class TestSlope:
 class TestStabilityFunction:
     def test_weak_passes_with_zero_value(self, heart_A):
         Z = CentralCharge.of([I, (0, 0), I])
-        report = check_stability_function(heart_A, Z, "weak")
+        report = check_stability_function(heart_A, Z)
         assert report.ok
-        strong = check_stability_function(heart_A, Z, "strong")
-        assert not strong.ok
-        assert strong.kernel_directions == (1,)
+        assert not report.strong
+        assert report.kernel_directions == (1,)
 
     def test_strong_passes_upper_half(self, heart_B):
         Z = CentralCharge.of([I, I, I])
-        assert check_stability_function(heart_B, Z, "strong").ok
+        assert check_stability_function(heart_B, Z).strong
 
     def test_positive_real_fails_weak(self, heart_B):
         Z = CentralCharge.of([I, I, (1, 0)])
-        report = check_stability_function(heart_B, Z, "weak")
+        report = check_stability_function(heart_B, Z)
         assert not report.ok
+        assert not report.strong
 
     def test_negative_real_passes_weak_and_strong(self, heart_B):
         Z = CentralCharge.of([(-1, 0), I, I])
-        assert check_stability_function(heart_B, Z, "weak").ok
-        assert check_stability_function(heart_B, Z, "strong").ok
+        report = check_stability_function(heart_B, Z)
+        assert report.ok
+        assert report.strong
+
+
+def test_one_option_among_the_stability_entry_points():
+    optional = [
+        name
+        for fn in (check_stability_function, check_weak_stability_condition, make_heart)
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty
+    ]
+    assert optional == ["descent"]
+
+
+class TestChargeLength:
+    def test_value_rejects_a_wrong_length(self):
+        Z = CentralCharge.of([I, (-1, 1)])
+        assert Z.value([1, 2]) == (Q(-2), Q(3))
+        for coeffs in ([1], [1, 0, 0]):
+            with pytest.raises(StabilityError):
+                Z.value(coeffs)
+
+    def test_slope_rejects_a_wrong_length(self):
+        with pytest.raises(StabilityError):
+            slope(CentralCharge.of([I, (-1, 1)]), [0, 0, 1])
+
+    def test_descend_rejects_a_wrong_length(self, ctx, heart_A):
+        with pytest.raises(StabilityError):
+            descend(ctx.calc, heart_A, ctx.kernel_classes(), CentralCharge.of([I, I]))
 
 
 class TestHNFiltration:
@@ -200,7 +228,6 @@ class TestTilt:
             heart_B.simples,
             heart_B.classes,
             tuple(tuple(row) for row in table),
-            heart_B.provenance,
         )
         with pytest.raises(PreconditionError) as err:
             tilt_at(ctx.calc, fake, 2)
@@ -243,12 +270,19 @@ class TestSupport:
             QuadraticForm(((Q(0), Q(1)), (Q(0), Q(0))))
 
 
+def _strong_on_nonzero_images(report) -> bool:
+    images = [img for img in report.quotient.projection if any(img)]
+    return all(
+        im > 0 or (im == 0 and re < 0)
+        for re, im in (report.induced.value(img) for img in images)
+    )
+
+
 class TestDescent:
-    def test_all_four_verdicts(self, ctx):
+    def test_all_three_verdicts(self, ctx):
         report = ctx.descent()
         assert report.serre_generator.ok
         assert report.kernel_matches_ker_z.ok
-        assert report.quotient_built.ok
         assert report.induced_strong.ok
         assert report.ok
 
@@ -256,7 +290,7 @@ class TestDescent:
         from quadstab.lattice import IntegerLattice
 
         report = ctx.descent()
-        assert report.kernel_in_simple_coords == IntegerLattice(
+        assert report.quotient.kernel == IntegerLattice(
             3, [[0, 1, 0], [-1, 0, 1]]
         )
 
@@ -267,12 +301,13 @@ class TestDescent:
 
     def test_induced_charge_functoriality(self, ctx, Z_up):
         report = ctx.descent()
+        assert len(report.induced) == report.quotient.rank == 1
         for i in range(3):
             unit = [1 if t == i else 0 for t in range(3)]
-            img = report.simple_images[i]
+            img = report.quotient.projection[i]
             via_quotient = (
-                sum(Q(img[t]) * report.induced_values[t][0] for t in range(1)),
-                sum(Q(img[t]) * report.induced_values[t][1] for t in range(1)),
+                sum(Q(img[t]) * report.induced.values[t][0] for t in range(1)),
+                sum(Q(img[t]) * report.induced.values[t][1] for t in range(1)),
             )
             assert via_quotient == Z_up.value(unit)
 
@@ -290,35 +325,68 @@ class TestDescent:
         assert report.quotient.rank == 0
         assert not report.induced_strong.ok
 
+    @pytest.mark.parametrize(
+        "values, full_kernel, strong",
+        [
+            ([I, (0, 0), I], False, True),
+            ([(-1, 0), (0, 0), (-1, 0)], False, True),
+            ([(-1, 1), (0, 0), (-1, 1)], False, True),
+            ([I, I, I], False, False),
+            ([(0, 0), (0, 0), (0, 0)], True, False),
+        ],
+    )
+    def test_induced_strong_covers_every_nonzero_image(
+        self, ctx, heart_A, values, full_kernel, strong
+    ):
+        classes = list(heart_A.classes) if full_kernel else ctx.kernel_classes()
+        report = descend(ctx.calc, heart_A, classes, CentralCharge.of(values))
+        assert report.induced_strong.ok == strong
+        if report.induced_strong.ok:
+            assert _strong_on_nonzero_images(report)
+
+    def test_default_descent_is_strong_on_every_nonzero_image(self, ctx):
+        report = ctx.descent()
+        assert report.induced_strong.ok and _strong_on_nonzero_images(report)
+
 
 class TestAxiomBundles:
     def test_weak_upstairs(self, ctx, heart_A, Z_up):
-        report = check_weak_stability_condition(
-            heart_A, Z_up, mode="weak", quotient_data=ctx.descent().quotient
-        )
+        descent = ctx.descent()
+        report = check_weak_stability_condition(heart_A, Z_up, descent)
         assert report.ok
-        assert report.hn_property.ok
+        assert report.support is descent.support
 
     def test_strong_upstairs_fails(self, ctx, heart_A, Z_up):
-        report = check_weak_stability_condition(
-            heart_A, Z_up, mode="strong", quotient_data=ctx.descent().quotient
-        )
-        assert not report.ok
+        report = check_weak_stability_condition(heart_A, Z_up, ctx.descent())
+        assert not report.stability_function.strong
+        assert report.stability_function.kernel_directions == (1,)
 
     def test_bridgeland_downstairs(self, ctx):
         rep = ctx.descent()
-        induced = CentralCharge(rep.induced_values)
-        nonzero = [img for img in rep.simple_images if any(img)]
-        support = check_support(
-            induced, QuadraticForm.zero(rep.quotient.rank), rep.quotient.rank, nonzero
+        assert rep.support.ok
+        assert rep.support.kernel_rank == 0
+        assert _strong_on_nonzero_images(rep)
+
+    def test_descent_support_matches_a_direct_check(self, ctx):
+        # the support descend stores is the one a direct check on its data gives
+        rep = ctx.descent()
+        nonzero = [img for img in rep.quotient.projection if any(img)]
+        direct = check_support(
+            rep.induced, QuadraticForm.zero(rep.quotient.rank), rep.quotient.rank, nonzero
         )
-        assert support.ok
-        for img in nonzero:
-            re, im = induced.value(img)
-            assert im > 0 or (im == 0 and re < 0)
+        assert rep.support == direct
 
     def test_failing_axiom_a(self, ctx, heart_B):
         Z = CentralCharge.of([(1, 0), I, I])
-        report = check_weak_stability_condition(heart_B, Z, mode="weak")
+        report = check_weak_stability_condition(heart_B, Z)
         assert not report.ok
         assert not report.stability_function.ok
+
+    def test_without_descent_support_is_on_simple_coordinates(self, ctx, heart_B):
+        single = make_heart(ctx.calc, [("S", ctx.obj("O(2H)"))])
+        report = check_weak_stability_condition(single, CentralCharge.of([I]))
+        assert report.ok and report.support.kernel_rank == 0
+        # three simples always give Z a kernel, where the zero form is not negative definite
+        report = check_weak_stability_condition(heart_B, CentralCharge.of([I, I, (-1, 0)]))
+        assert report.stability_function.ok and not report.ok
+        assert report.support.kernel_rank == 1 and not report.support.negative_definite
