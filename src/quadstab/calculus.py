@@ -26,6 +26,11 @@ line-bundle and O_E cohomology is translation invariant, so
 RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three mixed kinds,
 and many atom pairs share one entry.  Composite pairs are keyed by
 (X, Y, transport), since their rules recurse and may take a Serre hop.
+Beside them the Calculus memoizes per node its K-class, its twists by a
+line bundle, its presentations and its normal form.  The normalize memo lets
+a tree shared by many queries (a named object, a Serre-twisted argument, an
+rhom argument that is already normal) be walked once; a normalization that
+raises is not kept, so it raises again on the next call.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
@@ -188,6 +193,7 @@ class Calculus:
         self._class_memo: dict[FormalObject, KClass] = {}
         self._twist_memo: dict[tuple[FormalObject, DivisorClass], FormalObject] = {}
         self._pres_memo: dict[FormalObject, tuple] = {}
+        self._norm_memo: dict[FormalObject, FormalObject] = {}
 
     # ------------------------------------------------------------------
     # classes
@@ -266,8 +272,15 @@ class Calculus:
     # ------------------------------------------------------------------
 
     def normalize(self, x: FormalObject) -> FormalObject:
+        """The normal form of x, memoized per node; a failure is not kept."""
         if isinstance(x, (Zero, LineAtom, PushAtom)):
             return x
+        out = self._norm_memo.get(x)
+        if out is None:
+            out = self._norm_memo[x] = self._normalize(x)
+        return out
+
+    def _normalize(self, x: FormalObject) -> FormalObject:
         if isinstance(x, Shift):
             return shifted(self.normalize(x.child), x.n)
         if isinstance(x, Sum):

@@ -241,8 +241,12 @@ class Context:
     charges, which raise ConfigError for a bad config.  Named objects are
     normalized and hearts built from the resolved config, lazily: at twists
     other than the default one the golden mutation objects need not exist,
-    and the checks that would use them are skipped.  Hearts are built once:
-    when the build fails, every read of hearts raises that same error.
+    and the checks that would use them are skipped.  obj(text) parses against
+    the resolved, not yet normalized trees and normalizes the result, so it
+    builds only the names the text uses; names builds them all.  Both share
+    the normalize memo of the Calculus, so no name is built twice.  Hearts
+    are built once: when the build fails, every read of hearts raises that
+    same error.
     """
 
     def __init__(self, config: HarnessConfig):
@@ -292,7 +296,7 @@ class Context:
     # -- shared named data ---------------------------------------------------
 
     def obj(self, text: str) -> FormalObject:
-        return self.calc.normalize(parse_object(text, self.names))
+        return self.calc.normalize(parse_object(text, self.resolve().names))
 
     def sod1_objects(self) -> list[FormalObject]:
         return [LineAtom(D) for D in SOD1_DIVISORS]
@@ -302,15 +306,15 @@ class Context:
             PushAtom(SurfaceDivisor(-2, -1)),
             PushAtom(SurfaceDivisor(-1, -1)),
             self.obj("O(-h)"),
-            self.names["G"],
-            self.names["F"],
+            self.obj("G"),
+            self.obj("F"),
             self.obj("O()"),
             self.obj("O(H)"),
             self.obj("O(2H)"),
         ]
 
     def triple_objects(self) -> list[FormalObject]:
-        return [self.obj("O(-h)"), self.names["G"], self.names["F"]]
+        return [self.obj("O(-h)"), self.obj("G"), self.obj("F")]
 
     COLLECTIONS = {"SOD1": sod1_objects, "SOD2": sod2_objects, "TRIPLE": triple_objects}
 
@@ -320,8 +324,8 @@ class Context:
         return self.COLLECTIONS[name](self)
 
     def kernel_classes(self) -> list[KClass]:
-        e_cls = self.calc.class_of(self.names["Ecal"])
-        gf = self.calc.class_of(self.names["G"]) + self.calc.class_of(self.names["F"])
+        e_cls = self.calc.class_of(self.obj("Ecal"))
+        gf = self.calc.class_of(self.obj("G")) + self.calc.class_of(self.obj("F"))
         return [e_cls, gf]
 
     def dprime_lattice(self) -> IntegerLattice:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quadstab.geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
+from quadstab.geometry import DivisorClass, Geometry, GeometryConfig, GradedDims, SurfaceDivisor
 from quadstab.expressions import (
     MAX_DEPTH,
     Cone,
@@ -279,6 +279,48 @@ class TestNormalize:
             except PreconditionError:
                 continue
             assert calc.normalize(once) == once
+
+
+def _normal_form(calc, tree):
+    """calc.normalize(tree), or the type of the error it raises."""
+    try:
+        return calc.normalize(tree)
+    except (PreconditionError, CopyLimitError) as exc:
+        return type(exc)
+
+
+class TestNormalizeMemo:
+    """normalize keeps its result per node on the Calculus; the memo must not
+    change a result, and a failure is raised again, never kept."""
+
+    def test_shared_equals_fresh_on_corpus(self):
+        shared = Calculus(Geometry())
+        trees = [parse_object(text) for text in _corpus()]
+        fresh = [_normal_form(Calculus(Geometry()), tree) for tree in trees]
+        assert [_normal_form(shared, tree) for tree in trees] == fresh
+        assert any(isinstance(out, Cone) for out in fresh)
+
+    def test_second_call_returns_the_same_object(self):
+        calc = Calculus(Geometry())
+        tree = parse_object("L(OE(-1,0), L(O(), O(H-k)))")
+        assert calc.normalize(tree) is calc.normalize(tree)
+        assert calc.normalize(parse_object("L(OE(-1,0), L(O(), O(H-k)))")) is calc.normalize(tree)
+
+    def test_copy_limit_is_raised_on_every_call(self):
+        calc = Calculus(Geometry())
+        tree = parse_object("L(O(), O(10000H))")
+        for _ in range(2):
+            with pytest.raises(CopyLimitError):
+                calc.normalize(tree)
+        assert tree not in calc._norm_memo
+
+    def test_precondition_failure_is_raised_on_every_call(self):
+        calc = Calculus(Geometry(GeometryConfig(0, 0)))
+        tree = parse_object("L(OE(-1,0), O(-k))")
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="is ambiguous"):
+                calc.normalize(tree)
+        assert tree not in calc._norm_memo
 
 
 class TestPredicates:

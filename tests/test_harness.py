@@ -11,7 +11,7 @@ import pytest
 
 import quadstab
 from quadstab import harness, stability
-from quadstab.calculus import MAX_COPIES
+from quadstab.calculus import MAX_COPIES, Calculus
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
 
 from quadstab.harness import (
@@ -210,6 +210,75 @@ class TestCli:
         assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "33 checks" in out
+
+
+class TestLazyNames:
+    """A CLI call builds only the named objects its expressions use."""
+
+    @pytest.fixture
+    def mutations(self, monkeypatch):
+        """The arguments of every Calculus.mutate_left call."""
+        calls = []
+        real = Calculus.mutate_left
+
+        def counting(calc, e, x):
+            calls.append((e, x))
+            return real(calc, e, x)
+
+        monkeypatch.setattr(Calculus, "mutate_left", counting)
+        return calls
+
+    @pytest.fixture
+    def twist00(self, tmp_path):
+        # the default [objects] lines at a twist where G, F and Ecal do not exist
+        objects = DEFAULT_CONFIG_TEXT.split("[hearts]")[0].replace("-1,-1", "0,0")
+        path = tmp_path / "twist00.cfg"
+        path.write_text(objects)
+        return str(path)
+
+    def test_unnamed_query_at_another_twist(self, twist00, capsys):
+        assert main(["--config", twist00, "rhom", "O()", "O(h)"]) == 0
+        assert capsys.readouterr().out.strip() == "{0: 2}"
+
+    def test_named_query_at_another_twist_still_fails(self, twist00, capsys):
+        assert main(["--config", twist00, "rhom", "O()", "G"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: mutate_left: RHom(OE(-1,0), OE(-1,0)) is "
+            "ambiguous(euler=0, lower={}, upper={0: 1, 1: 1})"
+        )
+
+    def test_unnamed_rhom_builds_no_mutation(self, mutations, capsys):
+        assert main(["rhom", "O()", "O(h)"]) == 0
+        assert mutations == []
+
+    def test_gram_triple_builds_g_and_f_only(self, mutations, capsys):
+        # G takes one left mutation and F two; Ecal is not built
+        assert main(["gram", "TRIPLE"]) == 0
+        assert len(mutations) == 3
+
+    def test_cli_pool_does_not_depend_on_reading_names_first(self, monkeypatch, capsys):
+        queries = json.loads(
+            (TestBenchmarkGolden.GOLDEN / "cli_pool.json").read_text(encoding="utf-8")
+        )["queries"]
+        argvs = [q["argv"] for q in queries if q["argv"][0] in ("rhom", "mutate", "class", "gram")]
+
+        def outputs():
+            out = []
+            for argv in argvs:
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        lazy = outputs()
+        real_obj = Context.obj
+
+        def eager_obj(ctx, text):
+            ctx.names
+            return real_obj(ctx, text)
+
+        monkeypatch.setattr(Context, "obj", eager_obj)
+        assert outputs() == lazy
+        assert len(argvs) == 560
 
 
 class TestDeepNesting:
