@@ -31,7 +31,6 @@ from .calculus import AmbiguityError, Calculus, PreconditionError, RHomResult, S
 from .stability import (
     CentralCharge,
     Heart,
-    QuadraticForm,
     check_stability_function,
     check_support,
     check_weak_stability_condition,
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "PushAtom",
-    "QuadraticForm",
     "RHomResult",
     "Shift",
     "SoundnessError",

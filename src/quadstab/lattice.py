@@ -2,8 +2,9 @@
 
 A K-theory class is a vector in Z^8: its coordinates in the fixed basis of
 the eight line bundles O, O(h), O(k), O(h+k), O(H), O(H+h), O(H+k),
-O(H+h+k).  Line classes, tensor products and the Serre twist are computed in
-the K-ring from its relations, and the Euler pairing is x^T G y with an
+O(H+h+k).  Line classes are computed in closed form from the relations of
+the K-ring; a tensor product with a line bundle, and so the Serre twist, is
+linear over the line-bundle basis.  The Euler pairing is x^T G y with an
 integer Gram matrix G of values chi(O(D)) from Geometry.euler_characteristic,
 the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
 props.hrr-vs-cohomology check).  The covector x^T G of each left argument is
@@ -280,17 +281,17 @@ class KClass(tuple):
         return not any(self)
 
 
-def _superset_sums(v: Sequence[int], sign: int) -> list[int]:
-    """Change of basis between x^i y^j z^k and (x-1)^i (y-1)^j (z-1)^k.
+def _superset_sums(v: Sequence[int]) -> list[int]:
+    """Monomial coordinates x^i y^j z^k of a class given in the nilpotent
+    basis (x-1)^i (y-1)^j (z-1)^k.
 
     Index 4i + j + 2k is the SOD1_DIVISORS position of O(iH + jh + kk).
-    sign = +1 takes monomial coordinates to nilpotent ones, -1 takes them back.
     """
     v = list(v)
     for bit in (1, 2, 4):
         for i in range(8):
             if not i & bit:
-                v[i] += sign * v[i | bit]
+                v[i] -= v[i | bit]
     return v
 
 
@@ -300,8 +301,9 @@ class KTheory:
     With x = [O(H)], y = [O(h)], z = [O(k)] the K-ring is
     Z[x, y, z] / ((y-1)^2, (z-1)^2, (x-1)(x-L)),  L = [O(-a*h - b*k)],
     and its additive basis x^i y^j z^k (i, j, k in {0, 1}) is the line-bundle
-    basis SOD1_DIVISORS.  Line classes and products come from these
-    relations; the Euler pairing from an integer Gram matrix built on first
+    basis SOD1_DIVISORS.  Line classes come from these relations, and a
+    tensor product with O(D) by linearity over the line-bundle basis; the
+    Euler pairing from an integer Gram matrix built on first
     use by Hirzebruch-Riemann-Roch, as the covector x^T G, memoized per
     class x, dotted with y.
     """
@@ -334,7 +336,7 @@ class KTheory:
             1, p, q, p * q,
             b0, b0 * p + b1, b0 * q + b2, b0 * p * q + b1 * q + b2 * p + b3,
         )
-        out = KClass(_superset_sums(nilpotent, -1))
+        out = KClass(_superset_sums(nilpotent))
         self._lines[D] = out
         return out
 
@@ -347,30 +349,17 @@ class KTheory:
     def unit(self) -> KClass:
         return self.line_class(DivisorClass(0, 0, 0))
 
-    def _multiply(self, x: KClass, y: KClass) -> KClass:
-        """Product in the K-ring, computed in the nilpotent basis u^i v^j w^k
-        where v^2 = w^2 = 0 and u^2 = -a*uv - b*uw + ab*uvw."""
-        a, b = self.geometry.config.a, self.geometry.config.b
-        u_squared = ((1, -a), (2, -b), (3, a * b))
-        out = [0] * 8
-        ny = _superset_sums(y, 1)
-        for i, ci in enumerate(_superset_sums(x, 1)):
-            if not ci:
-                continue
-            for j, cj in enumerate(ny):
-                if not cj or i & j & 3:
-                    continue
-                if i & j & 4:
-                    rest = (i | j) & 3
-                    for bits, t in u_squared:
-                        if not rest & bits:
-                            out[4 | rest | bits] += ci * cj * t
-                else:
-                    out[i | j] += ci * cj
-        return KClass(_superset_sums(out, -1))
-
     def tensor_line(self, x: KClass, D: DivisorClass) -> KClass:
-        return self._multiply(x, self.line_class(D))
+        """x (x) O(D) = sum_i x_i [O(D_i + D)] over the basis D_i.
+
+        The product is linear in x, and [O(D_i)] [O(D)] = [O(D_i + D)].
+        """
+        out = [0] * 8
+        for c, Di in zip(x, SOD1_DIVISORS):
+            if c:
+                for t, v in enumerate(self.line_class(Di + D)):
+                    out[t] += c * v
+        return KClass(out)
 
     # -- pairing and Serre twist ----------------------------------------------
 

@@ -7,7 +7,8 @@ only for direct sums of simples; for a finite-length heart the HN property
 itself is automatic.  descend(calc, heart, kernel_classes, Z) is the only
 code that builds the downstairs data (quotient, induced charge and its
 support report); check_weak_stability_condition(heart, Z, descent) reads the
-support from it.
+support from it.  The support property is checked for the zero quadratic
+form, where it says that the charge is injective: ker Z = 0.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .lattice import (
     integer_kernel,
     integer_solution,
     quotient as lattice_quotient,
-    rational_determinant,
 )
 from .calculus import AmbiguityError, Calculus, PreconditionError, SoundnessError
-from .expressions import Cone, FormalObject, Sum, pretty, shifted
+from .expressions import Cone, FormalObject, pretty, shifted
 
 
 @total_ordering
@@ -87,43 +87,6 @@ class CentralCharge:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Symmetric rational form on a lattice."""
-
-    matrix: tuple[tuple[Q, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise StabilityError("quadratic form matrix is not square")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise StabilityError("quadratic form matrix is not symmetric")
-
-    @staticmethod
-    def zero(n: int) -> "QuadraticForm":
-        return QuadraticForm(tuple(tuple(Q(0) for _ in range(n)) for _ in range(n)))
-
-    @staticmethod
-    def diagonal(entries: Sequence) -> "QuadraticForm":
-        n = len(entries)
-        return QuadraticForm(
-            tuple(
-                tuple(Q(entries[i]) if i == j else Q(0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def evaluate(self, v: Sequence) -> Q:
-        return sum(
-            (Q(v[i]) * self.matrix[i][j] * Q(v[j]) for i in range(len(v)) for j in range(len(v))),
-            Q(0),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +218,8 @@ def tilt_at(calc: Calculus, heart: Heart, j: int) -> Heart:
 
     The new simples are S_j[1] together with, for each other simple, its
     universal extension by S_j; an extension of multiplicity zero leaves the
-    simple unchanged.
+    simple unchanged.  An extension by more than MAX_COPIES copies of S_j
+    raises CopyLimitError before any is built.
     """
     n = len(heart)
     if not 0 <= j < n:
@@ -283,7 +247,7 @@ def tilt_at(calc: Calculus, heart: Heart, j: int) -> Heart:
         if d == 0:
             new.append((heart.labels[i], heart.simples[i]))
             continue
-        copies = Sum(tuple([S] * d)) if d > 1 else S
+        copies = calc.copies(S, GradedDims.single(0, d), +1)
         ext = Cone(shifted(heart.simples[i], -1), copies, "universalExtension", None)
         new.append((f"ext({heart.labels[i]},{heart.labels[j]})", calc.normalize(ext)))
     labels, objects = zip(*new)
@@ -317,53 +281,16 @@ def _charge_kernel(Z_rows: Sequence[tuple[Q, Q]]) -> list[list[int]]:
 class SupportReport:
     ok: bool
     kernel_rank: int
-    negative_definite: bool
-    nonnegative_on_classes: bool
 
 
-def check_support(
-    Z: CentralCharge,
-    Qform: QuadraticForm,
-    ambient_rank: int,
-    semistable_classes: Sequence[Sequence[int]] = (),
-) -> SupportReport:
-    """Verify the support axiom on Z^ambient_rank with the given form.
+def check_support(Z: CentralCharge) -> SupportReport:
+    """The support property of Z for the zero quadratic form.
 
-    The form must be negative definite on ker Z (checked by the exact
-    Sylvester criterion on a kernel basis) and nonnegative on the supplied
-    semistable classes.
+    The zero form is negative definite on ker Z exactly when ker Z = 0, and
+    it is nonnegative on every class, so the axiom says Z is injective.
     """
-    if len(Z) != ambient_rank:
-        raise StabilityError("charge length does not match lattice rank")
-    kernel = _charge_kernel(Z.values)
-    neg_def = True
-    gram = [
-        [
-            sum(
-                Q(kernel[r][i]) * Qform.matrix[i][jj] * Q(kernel[c][jj])
-                for i in range(ambient_rank)
-                for jj in range(ambient_rank)
-            )
-            for c in range(len(kernel))
-        ]
-        for r in range(len(kernel))
-    ]
-    for k in range(1, len(kernel) + 1):
-        minor = _leading_minor(gram, k)
-        if (minor > 0) != (k % 2 == 0) or minor == 0:
-            neg_def = False
-            break
-    nonneg = all(Qform.evaluate(v) >= 0 for v in semistable_classes)
-    return SupportReport(
-        ok=neg_def and nonneg,
-        kernel_rank=len(kernel),
-        negative_definite=neg_def,
-        nonnegative_on_classes=nonneg,
-    )
-
-
-def _leading_minor(matrix: Sequence[Sequence[Q]], k: int) -> Q:
-    return rational_determinant([row[:k] for row in list(matrix)[:k]])
+    kernel_rank = len(_charge_kernel(Z.values))
+    return SupportReport(ok=kernel_rank == 0, kernel_rank=kernel_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +424,7 @@ def descend(
                 f"induced charge disagrees with Z on simple {heart.labels[i]}"
             )
     v3 = Verdict(not problems, "; ".join(problems) if problems else "induced charge is strong")
-    support = check_support(
-        induced, QuadraticForm.zero(quot.rank), quot.rank, nonzero_images
-    )
+    support = check_support(induced)
 
     return DescentReport(
         serre_generator=v1,
@@ -531,14 +456,9 @@ def check_weak_stability_condition(
     The weak stability-function axiom is checked on the simples.  The HN
     property is automatic for a finite-length heart presented by simples.
     The support property, for the zero form, is the one ``descent`` decided
-    on the quotient by ker Z; without a descent it is checked on the
-    simple-coordinate lattice, which is right only when Z has no kernel.
+    on the quotient by ker Z; without a descent it asks that Z itself have
+    no kernel on the simple coordinates.
     """
     sf = check_stability_function(heart, Z)
-    if descent is not None:
-        support = descent.support
-    else:
-        n = len(heart)
-        units = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
-        support = check_support(Z, QuadraticForm.zero(n), n, units)
+    support = descent.support if descent is not None else check_support(Z)
     return AxiomReport(ok=sf.ok and support.ok, stability_function=sf, support=support)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,32 @@ class TestHugeCoefficients:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "333483355001" in lines[0] and f"{MAX_COPIES}" in lines[0]
+
+
+class TestTiltCopyLimit:
+    """A tilt's universal extension holds one copy of the simple per
+    dimension of an Ext^1; past MAX_COPIES it is refused before any copy is
+    built."""
+
+    CONFIG = "[geometry]\ntwist = -1,-1\n\n[hearts]\nB = O() ; shift(O(-{n}H),1)\nT = tilt B 1\n"
+
+    def run(self, n, tmp_path, capsys):
+        path = tmp_path / "tilt.cfg"
+        path.write_text(self.CONFIG.format(n=n), encoding="utf-8")
+        start = time.process_time()
+        code = main(["--config", str(path), "check", "--only", "heart.B"])
+        return code, capsys.readouterr().out, time.process_time() - start
+
+    def test_refused_past_the_limit(self, tmp_path, capsys):
+        # Ext^1 has 348,551 dimensions here
+        code, out, seconds = self.run(100, tmp_path, capsys)
+        assert seconds < 1
+        assert code == 1 and out.startswith("[AMBIGUOUS] heart.B")
+        assert f"CopyLimitError: a cone needs 348551 copies of an object, more than the limit {MAX_COPIES}" in out
+
+    def test_below_the_limit_builds_the_sum(self, tmp_path, capsys):
+        _, out, _ = self.run(3, tmp_path, capsys)
+        assert "cone(O(-3H),sum(" + ",".join(["O()"] * 30) + "))" in out
 
 
 class TestDeterminism:

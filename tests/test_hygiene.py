@@ -1,0 +1,60 @@
+"""Source hygiene over src/quadstab, by the standard-library ast module.
+
+A deletion tends to leave an unused import or an orphaned private helper
+behind; these tests name each one.  Every name a module imports must be used
+in that module (``__init__.py``, whose imports are re-exports, and
+``from __future__`` are exempt).  Every private ``_name`` function, method
+or class must be referenced somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import quadstab
+
+PACKAGE = Path(quadstab.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        used = _used_names(tree)
+        unused.extend(f"{name}: {imported}" for imported in _imported_names(tree) if imported not in used)
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    used = set()
+    for tree in MODULES.values():
+        used |= _used_names(tree)
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    orphans = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                private = node.name.startswith("_") and not node.name.startswith("__")
+                if private and node.name not in used:
+                    orphans.append(f"{name}: {node.name}")
+    assert orphans == []

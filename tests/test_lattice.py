@@ -524,6 +524,19 @@ class TestAgainstChernCharacterOracle:
             x = kt.from_coordinates([rng.randint(-4, 4) for _ in range(8)])
             assert kt.chern(kt.serre_class(x)) == -g.chow_mul(kt.chern(x), ch_omega)
 
+    @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (-2, 0), (1, -2)])
+    def test_tensor_line_matches_chow_product(self, twist):
+        # ch(x (x) O(D)) = ch(x) ch(O(D)), and twisting by -D undoes D
+        g = Geometry(GeometryConfig(*twist))
+        kt = KTheory(g)
+        rng = random.Random(7)
+        for _ in range(200):
+            x = kt.from_coordinates([rng.randint(-3, 3) for _ in range(8)])
+            Dx = D(*(rng.randint(-2, 2) for _ in range(3)))
+            product = kt.tensor_line(x, Dx)
+            assert kt.chern(product) == g.chow_mul(kt.chern(x), g.chern_character(Dx))
+            assert kt.tensor_line(product, -Dx) == x
+
 
 class TestIntegerSolution:
     """integer_solution against the rational oracle solve_rational plus an
