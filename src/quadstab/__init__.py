@@ -27,7 +27,7 @@ from .expressions import (
     parse_object,
     pretty,
 )
-from .calculus import AmbiguityError, Calculus, PreconditionError, RHomResult, SoundnessError
+from .calculus import Calculus, PreconditionError, RHomResult, SoundnessError
 from .stability import (
     CentralCharge,
     Heart,
@@ -45,7 +45,6 @@ from .harness import CheckResult, HarnessConfig, default_config, emit_report, ru
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "Calculus",
     "CentralCharge",
     "CheckResult",

@@ -19,10 +19,14 @@ RHom between two expression trees is computed by structural recursion:
 Every graded value, from an atom's cohomology to the answer of rhom, is one
 RHomResult: degreewise lower and upper bounds (GradedDims, the upper one
 possibly unknown) and the Euler number.  Rules give sound bounds, and the
-bounds of one pair are merged; the value is determined when they meet.  Two
-memos hold these values, and rhom returns them as they are.  Atom values are
-keyed by the kind and the integer differences of the atoms' coefficients:
-line-bundle and O_E cohomology is translation invariant, so
+bounds of one pair are merged; the value is determined when they meet.  A
+pair met again while it is in progress answers the trivial sound bound, so
+an undecided value is always an ambiguous RHomResult, and determined_dims is
+the only code that turns one into an exception (PreconditionError), for a
+step that needs the value.  Two memos hold these values, and rhom returns
+them as they are.  Atom values are keyed by the kind and the integer
+differences of the atoms' coefficients: line-bundle and O_E cohomology is
+translation invariant, so
 RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three mixed kinds,
 and many atom pairs share one entry.  Composite pairs are keyed by
 (X, Y, transport), since their rules recurse and may take a Serre hop.
@@ -62,10 +66,6 @@ from .expressions import (
     shifted,
     strip_shift,
 )
-
-
-class AmbiguityError(Exception):
-    pass
 
 
 class PreconditionError(Exception):
@@ -315,14 +315,17 @@ class Calculus:
             return self.mutate_right(self.normalize(x.x), self.normalize(x.e))
         raise TypeError(f"cannot normalize {x!r}")
 
-    def _determined(self, X: FormalObject, Y: FormalObject, who: str) -> GradedDims:
+    def determined_dims(self, X: FormalObject, Y: FormalObject, who: str) -> GradedDims:
+        """The dims of RHom(X, Y); PreconditionError, naming `who`, when the
+        value is not determined.  The only code that turns an undecided
+        value into an exception."""
         r = self.rhom(X, Y)
         if not r.determined:
             raise PreconditionError(f"{who}: RHom({pretty(X)}, {pretty(Y)}) is {r}")
         return r.dims
 
     def _check_exceptional(self, e: FormalObject, who: str) -> None:
-        dims = self._determined(e, e, who)
+        dims = self.determined_dims(e, e, who)
         if dims != GradedDims.single(0, 1):
             raise PreconditionError(f"{who}: {pretty(e)} is not exceptional, RHom(e,e) = {dims}")
 
@@ -363,7 +366,7 @@ class Calculus:
                 Sum(tuple(self._mutate_left(e, c) for c in x.children))
             )
 
-        r = self._determined(e, x, "mutate_left")
+        r = self.determined_dims(e, x, "mutate_left")
         if r.is_zero():
             return x
         xcore, _ = strip_shift(x)
@@ -450,7 +453,7 @@ class Calculus:
             return self.normalize(
                 Sum(tuple(self._mutate_right(c, e) for c in x.children))
             )
-        r = self._determined(x, e, "mutate_right")
+        r = self.determined_dims(x, e, "mutate_right")
         if r.is_zero():
             return x
         xcore, _ = strip_shift(x)
@@ -475,23 +478,20 @@ class Calculus:
     # ------------------------------------------------------------------
 
     def rhom(self, X: FormalObject, Y: FormalObject) -> RHomResult:
-        X = self.normalize(X)
-        Y = self.normalize(Y)
-        info = self._info(X, Y)
-        if info is None:
-            info = RHomResult(GradedDims(), None, self._euler(X, Y))
-        return info
+        return self._info(self.normalize(X), self.normalize(Y))
 
-    def _info(
-        self, X: FormalObject, Y: FormalObject, transport: bool = True
-    ) -> Optional[RHomResult]:
-        """Best knowledge of RHom(X, Y); None when the pair is in progress.
+    def _info(self, X: FormalObject, Y: FormalObject, transport: bool = True) -> RHomResult:
+        """Best knowledge of RHom(X, Y).
 
         Two atoms are answered from the atom memo, keyed by the kind and the
         integer differences of their divisors: atoms do not recurse and their
         value does not depend on `transport`, so they never enter the pair
-        memo or the in-progress stack.  Shifts and sums are unfolded into their parts; every other
-        pair is memoized by (X, Y, transport).
+        memo or the in-progress stack.  Shifts and sums are unfolded into
+        their parts; every other pair is memoized by (X, Y, transport).  A
+        pair met again while it is in progress answers the trivial sound
+        bound (lower bound 0, no upper bound, the exact Euler number), so a
+        recursion through presentations, adjunction and Serre hops always
+        ends.
 
         `transport` allows one Serre-duality hop for this pair; the hop sets
         it False so a query cannot bounce between the two sides forever
@@ -503,26 +503,18 @@ class Calculus:
         if isinstance(X, Zero) or isinstance(Y, Zero):
             return _ZERO
         if isinstance(X, Shift):
-            sub = self._info(X.child, Y, transport)
-            return None if sub is None else sub.translate(X.n)
+            return self._info(X.child, Y, transport).translate(X.n)
         if isinstance(Y, Shift):
-            sub = self._info(X, Y.child, transport)
-            return None if sub is None else sub.translate(-Y.n)
+            return self._info(X, Y.child, transport).translate(-Y.n)
         if isinstance(X, Sum):
             total = _ZERO
             for c in X.children:
-                sub = self._info(c, Y, transport)
-                if sub is None:
-                    return None
-                total = total.add(sub)
+                total = total.add(self._info(c, Y, transport))
             return total
         if isinstance(Y, Sum):
             total = _ZERO
             for c in Y.children:
-                sub = self._info(X, c, transport)
-                if sub is None:
-                    return None
-                total = total.add(sub)
+                total = total.add(self._info(X, c, transport))
             return total
 
         key = (X, Y, transport)
@@ -530,22 +522,18 @@ class Calculus:
         if cached is not None:
             return cached
         if key in self._stack:
-            return None
+            return RHomResult(GradedDims(), None, self._euler(X, Y))
         self._stack.add(key)
         try:
-            info = self._core_info(X, Y, transport)
+            info = self._rhom_memo[key] = self._core_info(X, Y, transport)
         finally:
             self._stack.discard(key)
-        if info is not None:
-            self._rhom_memo[key] = info
         return info
 
     def _euler(self, X: FormalObject, Y: FormalObject) -> int:
         return self.ktheory.euler_pairing(self.class_of(X), self.class_of(Y))
 
-    def _core_info(
-        self, X: FormalObject, Y: FormalObject, transport: bool
-    ) -> Optional[RHomResult]:
+    def _core_info(self, X: FormalObject, Y: FormalObject, transport: bool) -> RHomResult:
         euler = self._euler(X, Y)
 
         # defining orthogonality of mutations
@@ -558,6 +546,7 @@ class Calculus:
         best: Optional[RHomResult] = None
 
         def consider(candidate: Optional[RHomResult]) -> Optional[RHomResult]:
+            # None only from _adjunction_info, when its rule does not apply
             nonlocal best
             if candidate is None:
                 return None
@@ -672,13 +661,11 @@ class Calculus:
             return None
         if mx.direction == "left":
             # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0
-            side = self._info(mx.operand, mx.through)
-            if side is None or not side.is_empty():
+            if not self._info(mx.operand, mx.through).is_empty():
                 return None
             return self._info(mx.operand, my.operand)
         # RHom(R_e x, R_e y) = RHom(x, y) provided RHom(e, y) = 0
-        side = self._info(my.through, my.operand)
-        if side is None or not side.is_empty():
+        if not self._info(my.through, my.operand).is_empty():
             return None
         return self._info(mx.operand, my.operand)
 
@@ -703,7 +690,7 @@ class Calculus:
 
     # -- LES combination -----------------------------------------------------
 
-    def _expand_second(self, X: FormalObject, cone: Cone, euler: int) -> Optional[RHomResult]:
+    def _expand_second(self, X: FormalObject, cone: Cone, euler: int) -> RHomResult:
         """LES for RHom(X, Cone(S -> T)) over the maps Hom(X,S) -> Hom(X,T).
 
         When X is S[m], the identity of S maps to the triangle map, so the
@@ -714,7 +701,7 @@ class Calculus:
         m = self._same_up_to_shift(X, cone.source)
         return self._combine_les(cone, info_s, info_t, None if m is None else -m, +1, euler)
 
-    def _expand_first(self, cone: Cone, Y: FormalObject, euler: int) -> Optional[RHomResult]:
+    def _expand_first(self, cone: Cone, Y: FormalObject, euler: int) -> RHomResult:
         """LES for RHom(Cone(S -> T), Y) over the maps Hom(T,Y) -> Hom(S,Y).
 
         When Y is T[m], the map has rank >= 1 in degree m.
@@ -727,12 +714,12 @@ class Calculus:
     @staticmethod
     def _combine_les(
         cone: Cone,
-        source: Optional[RHomResult],
-        target: Optional[RHomResult],
+        source: RHomResult,
+        target: RHomResult,
         forced_degree: Optional[int],
         source_offset: int,
         euler: int,
-    ) -> Optional[RHomResult]:
+    ) -> RHomResult:
         """dims_i = coker(rank at i) + ker(rank at i + source_offset side).
 
         Computes (target_i - r_i) + (source_{i+off} - r_{i+off}) with interval
@@ -742,8 +729,6 @@ class Calculus:
         it is at least 1 when the triangle map is canonical and both sides are
         determined.
         """
-        if source is None or target is None:
-            return None
         if source.hi is None or target.hi is None:
             return RHomResult(GradedDims(), None, euler)
         rank_hi = source.hi.meet(target.hi)
@@ -760,24 +745,17 @@ class Calculus:
         hi = target.hi.monus(rank_lo) + source.hi.monus(rank_lo).translate(-source_offset)
         return RHomResult(lo, hi, euler)
 
-    def _serre_transport(self, X: FormalObject, Y: FormalObject) -> Optional[RHomResult]:
+    def _serre_transport(self, X: FormalObject, Y: FormalObject) -> RHomResult:
         omega = self.geometry.canonical_class()
         twisted = self.normalize(self.tensor_line(X, omega))
-        sub = self._info(Y, twisted, transport=False)
-        return None if sub is None else sub.dual(3)
+        return self._info(Y, twisted, transport=False).dual(3)
 
     # ------------------------------------------------------------------
     # predicates
     # ------------------------------------------------------------------
 
-    def _self_dims(self, x: FormalObject) -> GradedDims:
-        r = self.rhom(x, x)
-        if not r.determined:
-            raise AmbiguityError(f"RHom(x, x) ambiguous for {pretty(x)}: {r}")
-        return r.dims
-
     def is_exceptional(self, x: FormalObject) -> bool:
-        return self._self_dims(self.normalize(x)) == GradedDims.single(0, 1)
+        return self.determined_dims(x, x, "is_exceptional") == GradedDims.single(0, 1)
 
     def is_semiorthogonal(self, collection: Sequence[FormalObject]) -> "SemiorthReport":
         objects = [self.normalize(x) for x in collection]
@@ -802,22 +780,15 @@ class Calculus:
         ambiguous: list[tuple[int, int, str]] = []
         not_exceptional: list[int] = []
         for i, x in enumerate(objects):
-            try:
-                if not self.is_exceptional(x):
-                    not_exceptional.append(i)
-            except AmbiguityError as exc:
-                ambiguous.append((i, i, str(exc)))
-        for i in range(len(objects)):
-            for j in range(len(objects)):
-                if i == j:
-                    continue
-                r = self.rhom(objects[i], objects[j])
+            for j, y in enumerate(objects):
+                r = self.rhom(x, y)
                 if not r.determined:
                     ambiguous.append((i, j, str(r)))
-                    continue
-                for deg, dim in r.dims.items():
-                    if deg <= 0 and dim:
-                        failures.append((i, j, deg))
+                elif i == j:
+                    if r.dims != GradedDims.single(0, 1):
+                        not_exceptional.append(i)
+                else:
+                    failures.extend((i, j, deg) for deg, dim in r.dims.items() if deg <= 0 and dim)
         return ExtExceptionalReport(
             ok=not failures and not ambiguous and not not_exceptional,
             failures=tuple(failures),
@@ -827,7 +798,7 @@ class Calculus:
 
     def is_spherical(self, x: FormalObject, n: int) -> bool:
         x = self.normalize(x)
-        if self._self_dims(x) != GradedDims({0: 1, n: 1}):
+        if self.determined_dims(x, x, "is_spherical") != GradedDims({0: 1, n: 1}):
             return False
         cls = self.class_of(x)
         return self.ktheory.serre_class(cls) == cls.scale((-1) ** (n % 2))

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .geometry import DivisorClass
 from .expressions import ParseError, parse_object, pretty
-from .calculus import AmbiguityError, PreconditionError
+from .calculus import PreconditionError
 from .harness import (
     ConfigError,
     Context,
@@ -91,7 +91,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AmbiguityError, PreconditionError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,7 @@ from .expressions import (
     parse_object,
     pretty,
 )
-from .calculus import AmbiguityError, Calculus, PreconditionError
+from .calculus import Calculus, PreconditionError
 from .stability import (
     CentralCharge,
     DescentReport,
@@ -135,6 +135,9 @@ def _parse_complex_pair(text: str, owner: str) -> tuple[Q, Q]:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ConfigError(f"charge {owner!r}: expected '(re,im)', got {text!r}")
+    if "e" in text.lower():
+        # Fraction would expand 1e10000000 into a 33-million-bit integer
+        raise ConfigError(f"charge {owner!r}: exponent notation is not accepted, got {text!r}")
     try:
         re_s, im_s = text[1:-1].split(",")
         return (Fraction(re_s.strip()), Fraction(im_s.strip()))
@@ -179,6 +182,8 @@ def validate_config(config: HarnessConfig) -> ResolvedConfig:
     whether the named mutations and hearts exist at the configured twist is
     a mathematical question answered when Context builds them.
     """
+    if config.selection is not None:
+        _known_checks(config.selection)
     names: dict[str, FormalObject] = {}
     for name, expr in config.objects.items():
         try:
@@ -283,7 +288,7 @@ class Context:
                     else:
                         hearts[name] = make_heart(self.calc, spec)
                 self._hearts = hearts
-            except (AmbiguityError, PreconditionError, StabilityError) as exc:
+            except (PreconditionError, StabilityError) as exc:
                 self._hearts = exc  # the build is deterministic: keep the failure
         if isinstance(self._hearts, Exception):
             raise self._hearts.with_traceback(None)  # do not chain every read's frames
@@ -889,6 +894,12 @@ REGISTRY: tuple[Check, ...] = (
 CHECK_NAMES = tuple(c.name for c in REGISTRY)
 
 
+def _known_checks(selection: Sequence[str]) -> None:
+    unknown = [n for n in selection if n not in CHECK_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown check name(s): {', '.join(unknown)}")
+
+
 def run_checks(
     config: Union[HarnessConfig, Context, None] = None,
     selection: Optional[Sequence[str]] = None,
@@ -902,10 +913,8 @@ def run_checks(
     config = ctx.config
     if selection is None:
         selection = config.selection
-    if selection is not None:
-        unknown = [n for n in selection if n not in CHECK_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown check name(s): {', '.join(unknown)}")
+    else:
+        _known_checks(selection)
     results: list[CheckResult] = []
     for check in REGISTRY:
         if selection is not None and check.name not in selection:

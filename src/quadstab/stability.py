@@ -28,8 +28,8 @@ from .lattice import (
     integer_solution,
     quotient as lattice_quotient,
 )
-from .calculus import AmbiguityError, Calculus, PreconditionError, SoundnessError
-from .expressions import Cone, FormalObject, pretty, shifted
+from .calculus import Calculus, PreconditionError, SoundnessError
+from .expressions import Cone, FormalObject, shifted
 
 
 @total_ordering
@@ -121,18 +121,10 @@ def _build_heart(
     rows = [calc.ktheory.coordinates(c) for c in classes]
     if IntegerLattice(8, rows).rank != len(classes):
         raise PreconditionError("classes of simples are linearly dependent")
-    table = []
-    for x in objects:
-        row = []
-        for y in objects:
-            r = calc.rhom(x, y)
-            if r.status != "determined":
-                raise AmbiguityError(
-                    f"hom table entry RHom({pretty(x)}, {pretty(y)}) is {r}"
-                )
-            row.append(r.dims)
-        table.append(tuple(row))
-    return Heart(labels, objects, classes, tuple(table))
+    table = tuple(
+        tuple(calc.determined_dims(x, y, "hom table entry") for y in objects) for x in objects
+    )
+    return Heart(labels, objects, classes, table)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +331,12 @@ def descend(
     difference vectors of simples); ker Z equals the kernel lattice; the
     induced charge on the quotient (by Smith normal form) is well defined
     and a strong stability function on the image of the cone.  A nonzero
-    image has the charge of a simple checked here, so the strong verdict
-    covers every nonzero image.
+    image has the charge of a simple checked here, by
+    check_stability_function, so the strong verdict covers every nonzero
+    image.
     """
     n = len(heart)
-    if len(Z) != n:
-        raise StabilityError("charge length does not match number of simples")
+    positivity = check_stability_function(heart, Z)
     units = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     simple_rows = [calc.ktheory.coordinates(c) for c in heart.classes]
 
@@ -407,19 +399,13 @@ def descend(
         problems.append(
             "no simple survives in the quotient; the induced charge is zero"
         )
+    problems.extend(positivity.failures)
+    for i in positivity.kernel_directions:
+        if not kernel.member(units[i]):
+            problems.append(f"simple {heart.labels[i]} has Z = 0 but is not in the kernel")
     for i in range(n):
-        re, im = Z.values[i]
-        if (re, im) == (0, 0):
-            if not kernel.member(units[i]):
-                problems.append(
-                    f"simple {heart.labels[i]} has Z = 0 but is not in the kernel"
-                )
-        elif not (im > 0 or (im == 0 and re < 0)):
-            problems.append(
-                f"image of simple {heart.labels[i]} violates the strong positivity"
-            )
         # functoriality: induced charge of the image equals the original value
-        if induced.value(quot.projection[i]) != (re, im):
+        if induced.value(quot.projection[i]) != Z.values[i]:
             problems.append(
                 f"induced charge disagrees with Z on simple {heart.labels[i]}"
             )

@@ -594,6 +594,37 @@ class TestReportOpCounts:
         assert len(ctx.kt._covectors) <= len(lefts) <= 400
 
 
+class TestUndecided:
+    """An undecided RHom is an ambiguous RHomResult everywhere in the engine;
+    determined_dims is the one place that turns it into PreconditionError."""
+
+    TEXT = "cone(O(),O(H))"
+
+    def test_self_rhom_is_ambiguous(self, ctx):
+        x = ctx.obj(self.TEXT)
+        assert str(ctx.calc.rhom(x, x)) == "ambiguous(euler=-3, lower={1: 3}, upper={0: 2, 1: 5})"
+
+    def test_is_exceptional_raises_precondition_error(self, ctx):
+        with pytest.raises(PreconditionError, match=r"^is_exceptional: RHom\(.*\) is ambiguous"):
+            ctx.calc.is_exceptional(ctx.obj(self.TEXT))
+
+    def test_ext_exceptional_records_the_self_pair_as_ambiguous(self, ctx):
+        x = ctx.obj(self.TEXT)
+        report = ctx.calc.is_ext_exceptional([x, ctx.obj("O(h)")])
+        assert not report.ok
+        assert report.ambiguous == ((0, 0, str(ctx.calc.rhom(x, x))),)
+        assert report.failures == ((1, 0, 0),)
+        assert report.not_exceptional == ()
+
+    def test_a_pair_in_progress_answers_the_trivial_bound(self):
+        calc = Calculus(Geometry())
+        X, Y = calc.normalize(parse_object(self.TEXT)), parse_object("O(h)")
+        euler = Calculus(Geometry()).rhom(X, Y).euler
+        calc._stack.add((X, Y, True))
+        assert calc._info(X, Y) == RHomResult(GradedDims(), None, euler)
+        assert calc._rhom_memo == {}
+
+
 class TestRHomResult:
     """Status, dims and bounds follow from the two bounds lo and hi."""
 

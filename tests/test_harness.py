@@ -384,6 +384,9 @@ HOSTILE_CONFIGS = {
     "tilt-without-arguments": DEFAULT_CONFIG_TEXT.replace("tilt B 3", "tilt").encode(),
     "charge-unknown-heart": DEFAULT_CONFIG_TEXT.replace("Z_up = Atilde", "Z_up = Nowhere").encode(),
     "duplicate-object": DEFAULT_CONFIG_TEXT.replace("[objects]\n", "[objects]\nG = O()\n").encode(),
+    "unknown-check": (DEFAULT_CONFIG_TEXT + "\n[checks]\nonly = nonexistent.check\n").encode(),
+    # Fraction would expand the charge into a 33-million-bit integer
+    "charge-in-exponent-notation": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1e10000000,1/100)").encode(),
 }
 
 

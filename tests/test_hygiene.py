@@ -4,10 +4,13 @@ A deletion tends to leave an unused import or an orphaned private helper
 behind; these tests name each one.  Every name a module imports must be used
 in that module (``__init__.py``, whose imports are re-exports, and
 ``from __future__`` are exempt).  Every private ``_name`` function, method
-or class must be referenced somewhere in the package.
+or class must be referenced somewhere in the package.  Every exception class
+the package defines must be raised by name somewhere in it, so no caller
+catches an exception that can no longer occur.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import quadstab
@@ -58,3 +61,27 @@ def test_every_private_definition_is_referenced():
                 if private and node.name not in used:
                     orphans.append(f"{name}: {node.name}")
     assert orphans == []
+
+
+def _raised_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_exception_class_is_raised():
+    raised = set().union(*(_raised_names(tree) for tree in MODULES.values()))
+    never = []
+    for name, tree in MODULES.items():
+        classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        if not classes:
+            continue  # importing __main__ would run the CLI
+        module = importlib.import_module(f"quadstab.{Path(name).stem}")
+        for cls in classes:
+            if issubclass(getattr(module, cls), BaseException) and cls not in raised:
+                never.append(f"{name}: {cls}")
+    assert never == []
