@@ -1,40 +1,43 @@
 """Graded Hom computation and mutation calculus for formal derived objects.
 
-RHom between two expression trees is computed by structural recursion:
+RHom between two expression trees is computed by structural recursion.  Two
+atoms reduce to line-bundle cohomology on the threefold or the surface (with
+a Serre-duality transport when the surface sheaf sits on the left, and a
+two-term resolution when both atoms sit on the surface); shifts and sums
+unfold into their parts.  Every other pair is a cone against an atom or a
+cone, and _candidates tries its rules in this order:
 
-* atom vs atom reduces to line-bundle cohomology on the threefold or the
-  surface (with a Serre-duality transport when the surface sheaf sits on the
-  left, and a two-term resolution when both atoms sit on the surface);
-* a cone in either argument contributes a long exact sequence; the result is
-  determined when every connecting map has forced rank, and otherwise an
-  ambiguous value carrying degreewise bounds and the exact Euler number;
-* connecting-map ranks are forced by (i) complete orthogonality, (ii) the
-  defining property RHom(e, L_e x) = 0 = RHom(R_e x, e) of mutations, (iii)
-  an identity-tracking refinement: when one argument equals a cone vertex up
-  to shift and the canonical map of the triangle spans a one-dimensional Hom
-  space, the induced map has rank exactly one, (iv) the adjunction
-  RHom(L_e x, L_e y) = RHom(x, y) valid when RHom(x, e) = 0, and (v) Serre
-  duality, which transports the query to the other side.
+1. the defining orthogonality RHom(e, L_e x) = 0 = RHom(R_e x, e) of
+   mutations, which settles the value alone;
+2. the adjunction RHom(L_e x, L_e y) = RHom(x, y), valid when
+   RHom(x, e) = 0, and its twin for right mutations;
+3. the long exact sequence of a cone in the second argument, once per
+   presentation of that argument as a cone;
+4. the long exact sequence of a cone in the first argument, likewise;
+5. one Serre-duality hop, which transports the query to the other side.
+
+An LES bound is exact in the degrees where every connecting map has forced
+rank: rank 0 when one side vanishes, and rank at least one when one
+argument equals a cone vertex up to shift and the triangle map is canonical
+(identity tracking).  The candidates are merged until the value is
+determined; otherwise it is ambiguous, with degreewise bounds and the exact
+Euler number.
 
 Every graded value, from an atom's cohomology to the answer of rhom, is one
 RHomResult: degreewise lower and upper bounds (GradedDims, the upper one
-possibly unknown) and the Euler number.  Rules give sound bounds, and the
-bounds of one pair are merged; the value is determined when they meet.  A
-pair met again while it is in progress answers the trivial sound bound, so
-an undecided value is always an ambiguous RHomResult, and determined_dims is
-the only code that turns one into an exception (PreconditionError), for a
-step that needs the value.  Two memos hold these values, and rhom returns
-them as they are.  Atom values are keyed by the kind and the integer
-differences of the atoms' coefficients: line-bundle and O_E cohomology is
-translation invariant, so
-RHom(O(D1), O(D2)) = H*(O(D2 - D1)) and likewise for the three mixed kinds,
-and many atom pairs share one entry.  Composite pairs are keyed by
+possibly unknown) and the Euler number.  A pair met again while it is in
+progress answers the trivial sound bound, so an undecided value is always
+an ambiguous RHomResult; determined_dims is the only code that turns one
+into an exception (PreconditionError), for a step that needs the value.
+Two memos hold these values.  Atom values are keyed by the kind and the
+integer differences of the atoms' coefficients, since line-bundle and O_E
+cohomology is translation invariant: RHom(O(D1), O(D2)) = H*(O(D2 - D1)),
+and likewise for the three mixed kinds.  Composite pairs are keyed by
 (X, Y, transport), since their rules recurse and may take a Serre hop.
 Beside them the Calculus memoizes per node its K-class, its twists by a
-line bundle, its presentations and its normal form.  The normalize memo lets
-a tree shared by many queries (a named object, a Serre-twisted argument, an
-rhom argument that is already normal) be walked once; a normalization that
-raises is not kept, so it raises again on the next call.
+line bundle, its presentations and its normal form, so a tree shared by
+many queries (a named object, a Serre-twisted argument) is walked once; a
+normalization that raises is not kept, so it raises again on the next call.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
@@ -46,7 +49,7 @@ bound above an upper one) raises SoundnessError, also under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
 from .lattice import SOD1_DIVISORS, KClass, KTheory
@@ -132,15 +135,18 @@ class RHomResult:
             return str(self.hi)
         return f"ambiguous(euler={self.euler}, lower={self.lo}, upper={self.hi})"
 
+    def _regrade(self, op, n: int) -> "RHomResult":
+        """Both bounds mapped by op(dims, n), an exact value kept exact; an
+        odd n flips the sign of the Euler number."""
+        lo = op(self.lo, n)
+        hi = lo if self.hi is self.lo else None if self.hi is None else op(self.hi, n)
+        return RHomResult(lo, hi, self.euler if n % 2 == 0 else -self.euler)
+
     def translate(self, t: int) -> "RHomResult":
-        lo = self.lo.translate(t)
-        hi = lo if self.hi is self.lo else None if self.hi is None else self.hi.translate(t)
-        return RHomResult(lo, hi, self.euler if t % 2 == 0 else -self.euler)
+        return self._regrade(GradedDims.translate, t)
 
     def dual(self, n: int) -> "RHomResult":
-        lo = self.lo.dual(n)
-        hi = lo if self.hi is self.lo else None if self.hi is None else self.hi.dual(n)
-        return RHomResult(lo, hi, self.euler if n % 2 == 0 else -self.euler)
+        return self._regrade(GradedDims.dual, n)
 
     def add(self, other: "RHomResult") -> "RHomResult":
         lo = self.lo + other.lo
@@ -355,23 +361,25 @@ class Calculus:
         self._check_exceptional(e, "mutate_left")
         return self._mutate_left(e, x)
 
-    def _mutate_left(self, e: FormalObject, x: FormalObject) -> FormalObject:
-        g = self.geometry
+    def _termwise(self, x: FormalObject, mutate) -> Optional[FormalObject]:
+        """A mutation is exact: it keeps zero and commutes with shifts and
+        sums.  Applies `mutate` to the parts of such an x; None otherwise."""
         if isinstance(x, Zero):
             return x
         if isinstance(x, Shift):
-            return shifted(self._mutate_left(e, x.child), x.n)
+            return shifted(mutate(x.child), x.n)
         if isinstance(x, Sum):
-            return self.normalize(
-                Sum(tuple(self._mutate_left(e, c) for c in x.children))
-            )
+            return self.normalize(Sum(tuple(mutate(c) for c in x.children)))
+        return None
 
+    def _mutate_left(self, e: FormalObject, x: FormalObject) -> FormalObject:
+        out = self._termwise(x, lambda c: self._mutate_left(e, c))
+        if out is not None:
+            return out
         r = self.determined_dims(e, x, "mutate_left")
         if r.is_zero():
             return x
-        xcore, _ = strip_shift(x)
-        ecore, _ = strip_shift(e)
-        if xcore == ecore:
+        if self._same_up_to_shift(x, e) is not None:
             return Zero()
         if (
             isinstance(x, Cone)
@@ -385,6 +393,7 @@ class Calculus:
             return shifted(x.mutation.operand, 1)
 
         tag = Mutation("left", e, x)
+        g = self.geometry
         if isinstance(e, LineAtom):
             D = e.divisor
             E = g.exceptional_divisor_class()
@@ -445,20 +454,13 @@ class Calculus:
         return self._mutate_right(x, e)
 
     def _mutate_right(self, x: FormalObject, e: FormalObject) -> FormalObject:
-        if isinstance(x, Zero):
-            return x
-        if isinstance(x, Shift):
-            return shifted(self._mutate_right(x.child, e), x.n)
-        if isinstance(x, Sum):
-            return self.normalize(
-                Sum(tuple(self._mutate_right(c, e) for c in x.children))
-            )
+        out = self._termwise(x, lambda c: self._mutate_right(c, e))
+        if out is not None:
+            return out
         r = self.determined_dims(x, e, "mutate_right")
         if r.is_zero():
             return x
-        xcore, _ = strip_shift(x)
-        ecore, _ = strip_shift(e)
-        if xcore == ecore:
+        if self._same_up_to_shift(x, e) is not None:
             return Zero()
         if (
             isinstance(x, Cone)
@@ -483,15 +485,13 @@ class Calculus:
     def _info(self, X: FormalObject, Y: FormalObject, transport: bool = True) -> RHomResult:
         """Best knowledge of RHom(X, Y).
 
-        Two atoms are answered from the atom memo, keyed by the kind and the
-        integer differences of their divisors: atoms do not recurse and their
-        value does not depend on `transport`, so they never enter the pair
-        memo or the in-progress stack.  Shifts and sums are unfolded into
-        their parts; every other pair is memoized by (X, Y, transport).  A
-        pair met again while it is in progress answers the trivial sound
-        bound (lower bound 0, no upper bound, the exact Euler number), so a
-        recursion through presentations, adjunction and Serre hops always
-        ends.
+        Two atoms are answered from the atom memo: they do not recurse and
+        their value does not depend on `transport`, so they never enter the
+        pair memo or the in-progress stack.  Shifts and sums are unfolded
+        into their parts; every other pair is memoized by (X, Y, transport).
+        A pair met again while it is in progress answers the trivial sound
+        bound (lower bound 0, no upper bound, the exact Euler number), so
+        every recursion of the rules ends.
 
         `transport` allows one Serre-duality hop for this pair; the hop sets
         it False so a query cannot bounce between the two sides forever
@@ -534,55 +534,51 @@ class Calculus:
         return self.ktheory.euler_pairing(self.class_of(X), self.class_of(Y))
 
     def _core_info(self, X: FormalObject, Y: FormalObject, transport: bool) -> RHomResult:
+        """Merge the candidates of the rules, each with the Euler number of
+        the pair, until the value is determined.  A composite normal form
+        holds a cone, so there is at least one LES candidate."""
         euler = self._euler(X, Y)
-
-        # defining orthogonality of mutations
-        ortho = self._mutation_orthogonality(X, Y)
-        if ortho:
-            if euler != 0:
-                raise SoundnessError("orthogonal pair with nonzero Euler number")
-            return _ZERO
-
         best: Optional[RHomResult] = None
-
-        def consider(candidate: Optional[RHomResult]) -> Optional[RHomResult]:
-            # None only from _adjunction_info, when its rule does not apply
-            nonlocal best
-            if candidate is None:
-                return None
+        for candidate in self._candidates(X, Y, transport, euler):
             if candidate.euler != euler:
                 raise SoundnessError(
                     f"Euler mismatch for RHom({pretty(X)}, {pretty(Y)}): "
                     f"{candidate.euler} vs {euler}"
                 )
             best = candidate if best is None else best.merge(candidate)
-            return best if best.determined else None
+            if best.determined:
+                break
+        return best
 
+    def _candidates(
+        self, X: FormalObject, Y: FormalObject, transport: bool, euler: int
+    ) -> Iterator[RHomResult]:
+        """Sound bounds for RHom(X, Y) in rule order, one per LES presentation."""
+        if self._mutation_orthogonality(X, Y):
+            yield _ZERO
+            return
         # a shortcut that decides no value the LES rules miss, kept for speed:
         # without it cold-cli op_tail_ms rose 4.0 -> 4.5 ms (2-vCPU Xeon)
-        done = consider(self._adjunction_info(X, Y))
-        if done:
-            return done
-
-        for Yp in self._presentations(Y):
-            if isinstance(Yp, Cone):
-                done = consider(self._expand_second(X, Yp, euler))
-                if done:
-                    return done
-        for Xp in self._presentations(X):
-            if isinstance(Xp, Cone):
-                done = consider(self._expand_first(Xp, Y, euler))
-                if done:
-                    return done
-
+        adjunction = self._adjunction_info(X, Y)
+        if adjunction is not None:
+            yield adjunction
+        for cone in self._presentations(Y):
+            # Hom(X, S) -> Hom(X, T); when X is S[m], the identity of S maps
+            # to the triangle map, so the rank is >= 1 in degree -m
+            source = self._info(X, cone.source)
+            target = self._info(X, cone.target)
+            forced = self._same_up_to_shift(cone.source, X)
+            yield self._combine_les(cone, source, target, forced, +1, euler)
+        for cone in self._presentations(X):
+            # Hom(T, Y) -> Hom(S, Y); when Y is T[m], the rank is >= 1 in degree m
+            target = self._info(cone.target, Y)
+            source = self._info(cone.source, Y)
+            forced = self._same_up_to_shift(Y, cone.target)
+            yield self._combine_les(cone, source, target, forced, -1, euler)
         if transport:
-            done = consider(self._serre_transport(X, Y))
-            if done:
-                return done
-
-        if best is None:
-            best = RHomResult(GradedDims(), None, euler)
-        return best
+            # Serre duality, one hop: RHom^i(X, Y) = RHom^(3-i)(Y, X (x) omega)^*
+            twisted = self.normalize(self.tensor_line(X, self.geometry.canonical_class()))
+            yield self._info(Y, twisted, transport=False).dual(3)
 
     # -- base cases -----------------------------------------------------
 
@@ -638,9 +634,7 @@ class Calculus:
     def _same_up_to_shift(x: FormalObject, y: FormalObject) -> Optional[int]:
         xc, xs = strip_shift(x)
         yc, ys = strip_shift(y)
-        if xc == yc:
-            return ys - xs
-        return None
+        return ys - xs if xc == yc else None
 
     def _mutation_orthogonality(self, X: FormalObject, Y: FormalObject) -> bool:
         if isinstance(Y, Cone) and Y.mutation and Y.mutation.direction == "left":
@@ -659,27 +653,27 @@ class Calculus:
             return None
         if mx.direction != my.direction or mx.through != my.through:
             return None
-        if mx.direction == "left":
-            # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0
-            if not self._info(mx.operand, mx.through).is_empty():
-                return None
-            return self._info(mx.operand, my.operand)
+        # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0, and
         # RHom(R_e x, R_e y) = RHom(x, y) provided RHom(e, y) = 0
-        if not self._info(my.through, my.operand).is_empty():
-            return None
-        return self._info(mx.operand, my.operand)
+        if mx.direction == "left":
+            side = self._info(mx.operand, mx.through)
+        else:
+            side = self._info(my.through, my.operand)
+        return self._info(mx.operand, my.operand) if side.is_empty() else None
 
     # -- presentations -----------------------------------------------------
 
-    def _presentations(self, x: FormalObject) -> tuple[FormalObject, ...]:
-        """The forms of x whose cones the LES rules expand: x itself and, for
-        a left mutation L_e y with RHom(e, y) determined and nonzero, its
-        evaluation cone RHom(e, y) (x) e -> y.  Memoized per node."""
+    def _presentations(self, x: FormalObject) -> tuple[Cone, ...]:
+        """The cones the LES rules expand for x: none when x is no cone, else
+        x and, for a left mutation L_e y with RHom(e, y) determined and
+        nonzero, its evaluation cone RHom(e, y) (x) e -> y.  Memoized."""
+        if not isinstance(x, Cone):
+            return ()
         cached = self._pres_memo.get(x)
         if cached is not None:
             return cached
-        forms: list[FormalObject] = [x]
-        if isinstance(x, Cone) and x.mutation and x.mutation.direction == "left":
+        forms: list[Cone] = [x]
+        if x.mutation and x.mutation.direction == "left":
             e, operand = x.mutation.through, x.mutation.operand
             r = self.rhom(e, operand)
             if r.determined and not r.is_empty():
@@ -689,27 +683,6 @@ class Calculus:
         return out
 
     # -- LES combination -----------------------------------------------------
-
-    def _expand_second(self, X: FormalObject, cone: Cone, euler: int) -> RHomResult:
-        """LES for RHom(X, Cone(S -> T)) over the maps Hom(X,S) -> Hom(X,T).
-
-        When X is S[m], the identity of S maps to the triangle map, so the
-        map has rank >= 1 in degree -m.
-        """
-        info_s = self._info(X, cone.source)
-        info_t = self._info(X, cone.target)
-        m = self._same_up_to_shift(X, cone.source)
-        return self._combine_les(cone, info_s, info_t, None if m is None else -m, +1, euler)
-
-    def _expand_first(self, cone: Cone, Y: FormalObject, euler: int) -> RHomResult:
-        """LES for RHom(Cone(S -> T), Y) over the maps Hom(T,Y) -> Hom(S,Y).
-
-        When Y is T[m], the map has rank >= 1 in degree m.
-        """
-        info_t = self._info(cone.target, Y)
-        info_s = self._info(cone.source, Y)
-        forced = self._same_up_to_shift(Y, cone.target)
-        return self._combine_les(cone, info_s, info_t, forced, -1, euler)
 
     @staticmethod
     def _combine_les(
@@ -744,11 +717,6 @@ class Calculus:
         lo = target.lo.monus(rank_hi) + source.lo.monus(rank_hi).translate(-source_offset)
         hi = target.hi.monus(rank_lo) + source.hi.monus(rank_lo).translate(-source_offset)
         return RHomResult(lo, hi, euler)
-
-    def _serre_transport(self, X: FormalObject, Y: FormalObject) -> RHomResult:
-        omega = self.geometry.canonical_class()
-        twisted = self.normalize(self.tensor_line(X, omega))
-        return self._info(Y, twisted, transport=False).dual(3)
 
     # ------------------------------------------------------------------
     # predicates

@@ -10,9 +10,11 @@ Grammar (also emitted by the pretty-printer):
     divisor := '' | signed term { ('+'|'-') term },  term := [int] ('H'|'h'|'k')
 
 L and R are mutation nodes; they are elaborated into cones by the calculus
-during normalization.  Cones parsed from text carry no provenance.  Nesting
-deeper than MAX_DEPTH, and an integer or a divisor coefficient larger than
-MAX_COEFFICIENT in absolute value, are rejected with a ParseError.
+during normalization.  Cones parsed from text carry no provenance.  A NAME
+stands for the whole tree bound to it, and counts as that tree toward the
+limits: a tree nested deeper than MAX_DEPTH or holding more than MAX_NODES
+nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
+in absolute value, are rejected with a ParseError.
 
 Nodes are frozen, slotted dataclasses.  Each node computes its hash once, on
 first use, from its class name and fields, and keeps it in the shared `_hash`
@@ -165,6 +167,12 @@ def strip_shift(x: FormalObject) -> tuple[FormalObject, int]:
 # default recursion limit of 1000; real expressions are a few levels deep.
 MAX_DEPTH = 100
 
+# Most nodes a parsed tree may hold, with every name expanded into the tree
+# it stands for.  Names share subtrees, so a few lines can stand for a huge
+# tree: with X0 = O() and Xk = sum(X{k-1},X{k-1}), X20 holds 2,097,151
+# nodes, which the calculus would walk one by one.
+MAX_NODES = 10_000
+
 # Largest absolute value of an integer the parser accepts: a divisor
 # coefficient (after like terms are added), an OE degree or a shift.  The
 # cohomology of O(nH) sums |n| + 1 pushforward summands, so an unbounded
@@ -178,9 +186,14 @@ class _Parser:
         self.pos = 0
         self.names = names or {}
         self.depth = 0
+        self.nodes = 0
+        self.measures: dict[int, tuple[int, int]] = {}
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
+
+    def too_deep(self) -> ParseError:
+        return self.error(f"objects nested deeper than {MAX_DEPTH} levels")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -267,11 +280,28 @@ class _Parser:
 
     def parse_object(self) -> FormalObject:
         if self.depth == MAX_DEPTH:
-            raise self.error(f"objects nested deeper than {MAX_DEPTH} levels")
+            raise self.too_deep()
         self.depth += 1
+        self.nodes += 1
         obj = self._parse_node()
         self.depth -= 1
         return obj
+
+    def measure(self, x: FormalObject) -> tuple[int, int]:
+        """The depth and the node count of x, a shared subtree counted at
+        each place it occurs; computed once per distinct node, since a walk
+        that expands shared subtrees takes exponential time.  Nodes are keyed
+        by identity: the named trees outlive the parser, and hashing a tree
+        not hashed before would walk all of it."""
+        out = self.measures.get(id(x))
+        if out is None:
+            depth = nodes = 0
+            for child in _children(x):
+                d, n = self.measure(child)
+                depth = max(depth, d)
+                nodes += n
+            out = self.measures[id(x)] = (depth + 1, nodes + 1)
+        return out
 
     def _parse_node(self) -> FormalObject:
         word = self.read_word()
@@ -328,8 +358,28 @@ class _Parser:
             self.expect(")")
             return Zero()
         if word in self.names:
-            return self.names[word]
+            tree = self.names[word]
+            depth, nodes = self.measure(tree)
+            # the root of the tree is counted already, at the current depth
+            if self.depth + depth - 1 > MAX_DEPTH:
+                raise self.too_deep()
+            self.nodes += nodes - 1
+            return tree
         raise self.error(f"unknown name '{word}'")
+
+
+def _children(x: FormalObject) -> tuple[FormalObject, ...]:
+    if isinstance(x, Shift):
+        return (x.child,)
+    if isinstance(x, Sum):
+        return x.children
+    if isinstance(x, Cone):
+        return (x.source, x.target)
+    if isinstance(x, MutateLeftNode):
+        return (x.e, x.x)
+    if isinstance(x, MutateRightNode):
+        return (x.x, x.e)
+    return ()
 
 
 def parse_object(text: str, names: Optional[dict[str, FormalObject]] = None) -> FormalObject:
@@ -338,6 +388,9 @@ def parse_object(text: str, names: Optional[dict[str, FormalObject]] = None) -> 
     parser.skip_ws()
     if parser.pos != len(parser.text):
         raise parser.error("trailing input")
+    # counted, never expanded, so checked once: parsing is linear in the text
+    if parser.nodes > MAX_NODES:
+        raise ParseError(f"objects of more than {MAX_NODES} nodes")
     return obj
 
 

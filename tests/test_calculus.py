@@ -673,6 +673,20 @@ class TestRHomResult:
         assert a.merge(RHomResult(GradedDims(), None, 1)) == a
 
 
+class TestRuleLoop:
+    """_core_info merges the candidates of _candidates; each must carry the
+    Euler number of the pair."""
+
+    def test_a_candidate_with_another_euler_number_raises(self, monkeypatch):
+        calc = Calculus(Geometry())
+        X, Y = parse_object("O()"), calc.normalize(parse_object("cone(O(),O(H))"))
+        assert calc._euler(X, Y) == 4
+        wrong = RHomResult.exact(GradedDims({0: 1}))
+        monkeypatch.setattr(Calculus, "_adjunction_info", lambda self, X, Y: wrong)
+        with pytest.raises(SoundnessError, match=r"^Euler mismatch for RHom\(O\(\), cone\(O\(\),O\(H\)\)\): 1 vs 4$"):
+            calc.rhom(X, Y)
+
+
 class TestSoundnessUnderOptimize:
     """Invariant failures raise SoundnessError also when asserts are off."""
 

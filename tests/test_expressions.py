@@ -6,6 +6,7 @@ from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.expressions import (
     MAX_COEFFICIENT,
     MAX_DEPTH,
+    MAX_NODES,
     Cone,
     FormalObject,
     LineAtom,
@@ -105,6 +106,29 @@ class TestDepthLimit:
     def test_wide_trees_are_not_limited(self):
         wide = "sum(" + ",".join(nested("shift", MAX_DEPTH - 1) for _ in range(50)) + ")"
         assert len(parse_object(wide).children) == 50
+
+
+class TestNameLimits:
+    """A name counts toward the limits as the tree it stands for."""
+
+    def test_name_depth_adds_to_the_nesting(self):
+        names = {"A": parse_object(nested("shift", MAX_DEPTH))}
+        assert parse_object("A", names) is names["A"]
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_object("shift(A,1)", names)
+
+    def test_shared_subtrees_count_at_each_place(self):
+        names = {"X0": parse_object("O()")}
+        for k in range(1, 13):
+            names[f"X{k}"] = parse_object(f"sum(X{k - 1},X{k - 1})", names)
+        # X12 is 8,191 nodes; X13 would be 16,383
+        assert len(parse_object("X12", names).children) == 2
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
+            parse_object("sum(X12,X12)", names)
+
+    def test_text_alone_is_limited(self):
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
+            parse_object("sum(" + ",".join(["O()"] * MAX_NODES) + ")")
 
 
 class TestCoefficientLimit:

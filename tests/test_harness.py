@@ -3,6 +3,8 @@ import importlib
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -151,6 +153,32 @@ def full_results():
 @pytest.fixture(scope="module")
 def second_results():
     return run_checks(default_config())
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """The (arguments, output) of each `quadstab ...  # -> output` line of
+    the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [
+        (shlex.split(command)[1:], output)
+        for command, output in re.findall(r"^(quadstab .*?)\s+# -> (.*)$", block, re.M)
+    ]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_the_cli_block_has_examples(self):
+        assert README_EXAMPLES
+
+    @pytest.mark.parametrize(
+        "argv, output", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+    )
+    def test_prints_its_output(self, argv, output, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == output + "\n"
 
 
 class TestCli:
@@ -378,6 +406,22 @@ class TestDeterminism:
         assert a == b
 
 
+def named_chain(name: str, body: str, last: int) -> str:
+    """The default config with objects name0 = O() and, for k = 1 .. last,
+    name<k> = body, where {prev} in body stands for name<k-1>."""
+    lines = [f"{name}0 = O()"]
+    lines += [f"{name}{k} = " + body.format(prev=f"{name}{k - 1}") for k in range(1, last + 1)]
+    return DEFAULT_CONFIG_TEXT.replace("[objects]\n", "[objects]\n" + "\n".join(lines) + "\n")
+
+
+# A name counts as the tree it stands for: a chain past MAX_DEPTH, or a tree
+# doubled line by line past MAX_NODES, is refused when the config is read.
+NAME_CONFIGS = {
+    "name-chain-150": named_chain("Y", "cone(O(h),{prev})", 149),
+    "name-sum-doubling-20": named_chain("X", "sum({prev},{prev})", 20),
+    "name-cone-doubling-20": named_chain("Z", "cone({prev},{prev})", 20),
+}
+
 HOSTILE_CONFIGS = {
     "not-utf8": b"\xff\xfe[geometry]\ntwist = -1,-1\n",
     "charge-divides-by-zero": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1/0,1)").encode(),
@@ -387,6 +431,7 @@ HOSTILE_CONFIGS = {
     "unknown-check": (DEFAULT_CONFIG_TEXT + "\n[checks]\nonly = nonexistent.check\n").encode(),
     # Fraction would expand the charge into a 33-million-bit integer
     "charge-in-exponent-notation": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1e10000000,1/100)").encode(),
+    **{case: text.encode() for case, text in NAME_CONFIGS.items()},
 }
 
 
@@ -401,6 +446,32 @@ class TestHostileConfigs:
         assert main(["--config", str(path), *command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestNameLimits:
+    @pytest.mark.parametrize("command", [["rhom", "O()", "O(h)"], ["check"]], ids=["rhom", "check"])
+    @pytest.mark.parametrize("case", sorted(NAME_CONFIGS))
+    def test_refused_at_once_with_one_error_line(self, case, command, tmp_path, capsys):
+        path = tmp_path / "names.cfg"
+        path.write_text(NAME_CONFIGS[case], encoding="utf-8")
+        start = time.process_time()
+        assert main(["--config", str(path), *command]) == 2
+        assert time.process_time() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_doubled_tree_inside_the_limit_answers(self, tmp_path, capsys):
+        # X12 stands for a tree of 8,191 nodes, 4,096 of them O()
+        path = tmp_path / "names.cfg"
+        path.write_text(named_chain("X", "sum({prev},{prev})", 12), encoding="utf-8")
+        assert main(["--config", str(path), "rhom", "O()", "X12"]) == 0
+        assert capsys.readouterr().out == "{0: 4096}\n"
+
+    def test_chain_at_the_depth_limit_answers(self, tmp_path, capsys):
+        path = tmp_path / "names.cfg"
+        path.write_text(named_chain("Y", "cone(O(h),{prev})", MAX_DEPTH - 1), encoding="utf-8")
+        assert main(["--config", str(path), "class", f"Y{MAX_DEPTH - 1}"]) == 0
+        assert capsys.readouterr().out.endswith(f"coordinates: [1, {1 - MAX_DEPTH}, 0, 0, 0, 0, 0, 0]\n")
 
 
 class TestOneResolution:

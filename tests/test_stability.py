@@ -9,6 +9,7 @@ from quadstab.stability import (
     INFINITY,
     CentralCharge,
     StabilityError,
+    Verdict,
     check_stability_function,
     check_support,
     check_weak_stability_condition,
@@ -57,6 +58,21 @@ class TestMakeHeart:
     def test_single_simple_heart(self, ctx):
         heart = make_heart(ctx.calc, [("S", ctx.obj("O(2H)"))])
         assert len(heart) == 1
+
+    def test_failures_are_listed(self, ctx):
+        with pytest.raises(PreconditionError) as err:
+            make_heart(ctx.calc, [("a", ctx.obj("O()")), ("s", ctx.obj("sum(O(),O(h))"))])
+        assert str(err.value) == (
+            "not an Ext-exceptional collection: Hom^0(a, s) is nonzero; "
+            "Hom^0(s, a) is nonzero; s is not exceptional"
+        )
+
+    def test_ambiguous_pairs_are_listed(self, ctx):
+        with pytest.raises(PreconditionError) as err:
+            make_heart(ctx.calc, [("x", ctx.obj("cone(O(),O(H))")), ("y", ctx.obj("O(h)"))])
+        assert str(err.value).endswith(
+            "(x, x): ambiguous(euler=-3, lower={1: 3}, upper={0: 2, 1: 5})"
+        )
 
     def test_dependent_classes_rejected(self, ctx):
         with pytest.raises(PreconditionError):
@@ -297,6 +313,11 @@ class TestDescent:
         Z = CentralCharge.of([I, I, I])
         report = descend(ctx.calc, heart_A, ctx.kernel_classes(), Z)
         assert not report.kernel_matches_ker_z.ok
+
+    def test_kernel_without_a_simple_fails_generation(self, ctx, heart_A, Z_up):
+        c0, _, c2 = heart_A.classes
+        report = descend(ctx.calc, heart_A, [c0 - c2], Z_up)
+        assert report.serre_generator == Verdict(False, "no simple class lies in the kernel lattice")
 
     def test_full_kernel_fails_strong(self, ctx, heart_A):
         # kernel = everything: quotient rank 0, zero induced charge, and the
