@@ -18,7 +18,8 @@ from .lattice import IntegerLattice, KClass, KTheory, LatticeQuotient
 from .expressions import (
     Cone,
     LineAtom,
-    Mutation,
+    MutateLeftNode,
+    MutateRightNode,
     ParseError,
     PushAtom,
     Shift,
@@ -61,7 +62,8 @@ __all__ = [
     "KTheory",
     "LatticeQuotient",
     "LineAtom",
-    "Mutation",
+    "MutateLeftNode",
+    "MutateRightNode",
     "ParseError",
     "PreconditionError",
     "PushAtom",
@@ -69,6 +71,7 @@ __all__ = [
     "Shift",
     "SoundnessError",
     "Sum",
+    "SurfaceDivisor",
     "Zero",
     "check_stability_function",
     "check_support",

@@ -57,7 +57,6 @@ from .expressions import (
     Cone,
     FormalObject,
     LineAtom,
-    Mutation,
     MutateLeftNode,
     MutateRightNode,
     ParseError,
@@ -65,6 +64,7 @@ from .expressions import (
     Shift,
     Sum,
     Zero,
+    pair,
     pretty,
     shifted,
     strip_shift,
@@ -90,6 +90,17 @@ MAX_COPIES = 10_000
 class CopyLimitError(ParseError):
     """A mutation or a tilt would hold more than MAX_COPIES copies of one
     object: like the parser's limits, it refuses an input as too large."""
+
+
+# Most characters of an argument tree that an error message prints; a tree
+# of MAX_NODES nodes prints as tens of kilobytes.
+MAX_SHOWN = 200
+
+
+def _shown(x: FormalObject) -> str:
+    """The printed tree x for a message, cut after MAX_SHOWN characters."""
+    text = pretty(x)
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,20 +266,16 @@ class Calculus:
         elif isinstance(x, Sum):
             out = Sum(tuple(self.tensor_line(c, D) for c in x.children))
         elif isinstance(x, Cone):
-            tag = x.mutation
-            if tag is not None:
-                tag = Mutation(
-                    tag.direction,
-                    self.tensor_line(tag.through, D),
-                    self.tensor_line(tag.operand, D),
-                )
             # twisting by a line bundle is an equivalence, canonicity survives
             out = Cone(
                 self.tensor_line(x.source, D),
                 self.tensor_line(x.target, D),
                 x.provenance,
-                tag,
+                None if x.mutation is None else self.tensor_line(x.mutation, D),
             )
+        elif isinstance(x, (MutateLeftNode, MutateRightNode)):
+            # L_e x (x) O(D) = L_{e(D)} x(D), and likewise for R
+            out = type(x)(*(self.tensor_line(c, D) for c in pair(x)))
         else:
             raise TypeError(f"cannot twist {x!r}")
         self._twist_memo[key] = out
@@ -316,9 +323,9 @@ class Calculus:
                 return x
             return Cone(src, tgt, x.provenance, x.mutation)
         if isinstance(x, MutateLeftNode):
-            return self.mutate_left(self.normalize(x.e), self.normalize(x.x))
+            return self.mutate_left(x.e, x.x)
         if isinstance(x, MutateRightNode):
-            return self.mutate_right(self.normalize(x.x), self.normalize(x.e))
+            return self.mutate_right(x.x, x.e)
         raise TypeError(f"cannot normalize {x!r}")
 
     def determined_dims(self, X: FormalObject, Y: FormalObject, who: str) -> GradedDims:
@@ -327,13 +334,13 @@ class Calculus:
         value into an exception."""
         r = self.rhom(X, Y)
         if not r.determined:
-            raise PreconditionError(f"{who}: RHom({pretty(X)}, {pretty(Y)}) is {r}")
+            raise PreconditionError(f"{who}: RHom({_shown(X)}, {_shown(Y)}) is {r}")
         return r.dims
 
     def _check_exceptional(self, e: FormalObject, who: str) -> None:
         dims = self.determined_dims(e, e, who)
         if dims != GradedDims.single(0, 1):
-            raise PreconditionError(f"{who}: {pretty(e)} is not exceptional, RHom(e,e) = {dims}")
+            raise PreconditionError(f"{who}: {_shown(e)} is not exceptional, RHom(e,e) = {dims}")
 
     @staticmethod
     def copies(e: FormalObject, dims: GradedDims, sign: int) -> FormalObject:
@@ -381,18 +388,13 @@ class Calculus:
             return x
         if self._same_up_to_shift(x, e) is not None:
             return Zero()
-        if (
-            isinstance(x, Cone)
-            and x.mutation is not None
-            and x.mutation.direction == "right"
-            and x.mutation.through == e
-            and self.rhom(e, x.mutation.operand).is_empty()
-        ):
+        inner = x.mutation if isinstance(x, Cone) else None
+        if isinstance(inner, MutateRightNode) and inner.e == e and self.rhom(e, inner.x).is_empty():
             # inverse equivalence: L_e R_e y = y for y right-orthogonal to e;
             # the stored cone is R_e y shifted by one
-            return shifted(x.mutation.operand, 1)
+            return shifted(inner.x, 1)
 
-        tag = Mutation("left", e, x)
+        tag = MutateLeftNode(e, x)
         g = self.geometry
         if isinstance(e, LineAtom):
             D = e.divisor
@@ -462,17 +464,11 @@ class Calculus:
             return x
         if self._same_up_to_shift(x, e) is not None:
             return Zero()
-        if (
-            isinstance(x, Cone)
-            and x.mutation is not None
-            and x.mutation.direction == "left"
-            and x.mutation.through == e
-            and self.rhom(x.mutation.operand, e).is_empty()
-        ):
+        inner = x.mutation if isinstance(x, Cone) else None
+        if isinstance(inner, MutateLeftNode) and inner.e == e and self.rhom(inner.x, e).is_empty():
             # inverse equivalence: R_e L_e y = y for y left-orthogonal to e
-            return x.mutation.operand
-        tag = Mutation("right", e, x)
-        cone = Cone(x, self.copies(e, r, +1), "evaluation", tag)
+            return inner.x
+        cone = Cone(x, self.copies(e, r, +1), "evaluation", MutateRightNode(x, e))
         return shifted(cone, -1)
 
     # ------------------------------------------------------------------
@@ -542,7 +538,7 @@ class Calculus:
         for candidate in self._candidates(X, Y, transport, euler):
             if candidate.euler != euler:
                 raise SoundnessError(
-                    f"Euler mismatch for RHom({pretty(X)}, {pretty(Y)}): "
+                    f"Euler mismatch for RHom({_shown(X)}, {_shown(Y)}): "
                     f"{candidate.euler} vs {euler}"
                 )
             best = candidate if best is None else best.merge(candidate)
@@ -637,11 +633,11 @@ class Calculus:
         return ys - xs if xc == yc else None
 
     def _mutation_orthogonality(self, X: FormalObject, Y: FormalObject) -> bool:
-        if isinstance(Y, Cone) and Y.mutation and Y.mutation.direction == "left":
-            if self._same_up_to_shift(Y.mutation.through, X) is not None:
+        if isinstance(Y, Cone) and isinstance(Y.mutation, MutateLeftNode):
+            if self._same_up_to_shift(Y.mutation.e, X) is not None:
                 return True
-        if isinstance(X, Cone) and X.mutation and X.mutation.direction == "right":
-            if self._same_up_to_shift(X.mutation.through, Y) is not None:
+        if isinstance(X, Cone) and isinstance(X.mutation, MutateRightNode):
+            if self._same_up_to_shift(X.mutation.e, Y) is not None:
                 return True
         return False
 
@@ -649,17 +645,15 @@ class Calculus:
         if not (isinstance(X, Cone) and isinstance(Y, Cone)):
             return None
         mx, my = X.mutation, Y.mutation
-        if mx is None or my is None:
-            return None
-        if mx.direction != my.direction or mx.through != my.through:
+        if mx is None or type(mx) is not type(my) or mx.e != my.e:
             return None
         # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0, and
         # RHom(R_e x, R_e y) = RHom(x, y) provided RHom(e, y) = 0
-        if mx.direction == "left":
-            side = self._info(mx.operand, mx.through)
+        if isinstance(mx, MutateLeftNode):
+            side = self._info(mx.x, mx.e)
         else:
-            side = self._info(my.through, my.operand)
-        return self._info(mx.operand, my.operand) if side.is_empty() else None
+            side = self._info(my.e, my.x)
+        return self._info(mx.x, my.x) if side.is_empty() else None
 
     # -- presentations -----------------------------------------------------
 
@@ -673,11 +667,11 @@ class Calculus:
         if cached is not None:
             return cached
         forms: list[Cone] = [x]
-        if x.mutation and x.mutation.direction == "left":
-            e, operand = x.mutation.through, x.mutation.operand
-            r = self.rhom(e, operand)
+        tag = x.mutation
+        if isinstance(tag, MutateLeftNode):
+            r = self.rhom(tag.e, tag.x)
             if r.determined and not r.is_empty():
-                forms.append(Cone(self.copies(e, r.dims, -1), operand, "evaluation", x.mutation))
+                forms.append(Cone(self.copies(tag.e, r.dims, -1), tag.x, "evaluation", tag))
         out = tuple(dict.fromkeys(forms))
         self._pres_memo[x] = out
         return out

@@ -9,8 +9,9 @@ Grammar (also emitted by the pretty-printer):
              | 'cone(' obj ',' obj ')' | 'zero()' | NAME
     divisor := '' | signed term { ('+'|'-') term },  term := [int] ('H'|'h'|'k')
 
-L and R are mutation nodes; they are elaborated into cones by the calculus
-during normalization.  Cones parsed from text carry no provenance.  A NAME
+L and R are mutation nodes; the calculus elaborates them into cones during
+normalization, and each such cone keeps the L or R node it evaluates as its
+record of the mutation.  Cones parsed from text carry no provenance.  A NAME
 stands for the whole tree bound to it, and counts as that tree toward the
 limits: a tree nested deeper than MAX_DEPTH or holding more than MAX_NODES
 nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
@@ -104,27 +105,10 @@ class Sum(FormalObject):
 
 
 @_node
-class Mutation(_Node):
-    """Provenance record for a cone produced by a mutation functor."""
-
-    direction: str  # 'left' or 'right'
-    through: FormalObject
-    operand: FormalObject
-
-
-@_node
-class Cone(FormalObject):
-    """Third vertex of the triangle source -> target -> cone -> source[1]."""
-
-    source: FormalObject
-    target: FormalObject
-    provenance: str = "unspecified"
-    mutation: Optional[Mutation] = None
-
-
-@_node
 class MutateLeftNode(FormalObject):
-    """Unevaluated left mutation L(e, x); removed by normalization."""
+    """Left mutation L(e, x).  In a tree it is unevaluated and removed by
+    normalization; as the `mutation` of a cone it records, with normal-form
+    children, the mutation that cone evaluates."""
 
     e: FormalObject
     x: FormalObject
@@ -132,10 +116,35 @@ class MutateLeftNode(FormalObject):
 
 @_node
 class MutateRightNode(FormalObject):
-    """Unevaluated right mutation R(x, e); removed by normalization."""
+    """Right mutation R(x, e); unevaluated in a tree, and the record of a
+    cone that evaluates it, as for MutateLeftNode."""
 
     x: FormalObject
     e: FormalObject
+
+
+@_node
+class Cone(FormalObject):
+    """Third vertex of the triangle source -> target -> cone -> source[1].
+
+    `mutation` is the L or R node the cone evaluates, if it is one."""
+
+    source: FormalObject
+    target: FormalObject
+    provenance: str = "unspecified"
+    mutation: Optional[MutateLeftNode | MutateRightNode] = None
+
+
+# The words that take two objects, each with the class whose first two
+# fields hold them in the order they are written.
+_PAIR_WORDS = {"L": MutateLeftNode, "R": MutateRightNode, "cone": Cone}
+_WORD_OF = {cls: word for word, cls in _PAIR_WORDS.items()}
+
+
+def pair(x: FormalObject) -> tuple[FormalObject, FormalObject]:
+    """The two objects of an L, R or cone node, in written order."""
+    first, second = x.__slots__[:2]
+    return getattr(x, first), getattr(x, second)
 
 
 def shifted(x: FormalObject, n: int) -> FormalObject:
@@ -324,20 +333,13 @@ class _Parser:
             n = self.read_int()
             self.expect(")")
             return Shift(x, n)
-        if word == "L":
+        if word in _PAIR_WORDS:
             self.expect("(")
-            e = self.parse_object()
+            first = self.parse_object()
             self.expect(",")
-            x = self.parse_object()
+            second = self.parse_object()
             self.expect(")")
-            return MutateLeftNode(e, x)
-        if word == "R":
-            self.expect("(")
-            x = self.parse_object()
-            self.expect(",")
-            e = self.parse_object()
-            self.expect(")")
-            return MutateRightNode(x, e)
+            return _PAIR_WORDS[word](first, second)
         if word == "sum":
             self.expect("(")
             children = [self.parse_object()]
@@ -346,13 +348,6 @@ class _Parser:
                 children.append(self.parse_object())
             self.expect(")")
             return Sum(tuple(children))
-        if word == "cone":
-            self.expect("(")
-            src = self.parse_object()
-            self.expect(",")
-            tgt = self.parse_object()
-            self.expect(")")
-            return Cone(src, tgt)
         if word == "zero":
             self.expect("(")
             self.expect(")")
@@ -373,12 +368,8 @@ def _children(x: FormalObject) -> tuple[FormalObject, ...]:
         return (x.child,)
     if isinstance(x, Sum):
         return x.children
-    if isinstance(x, Cone):
-        return (x.source, x.target)
-    if isinstance(x, MutateLeftNode):
-        return (x.e, x.x)
-    if isinstance(x, MutateRightNode):
-        return (x.x, x.e)
+    if type(x) in _WORD_OF:
+        return pair(x)
     return ()
 
 
@@ -411,10 +402,8 @@ def pretty(x: FormalObject) -> str:
         return f"shift({pretty(x.child)},{x.n})"
     if isinstance(x, Sum):
         return "sum(" + ",".join(pretty(c) for c in x.children) + ")"
-    if isinstance(x, Cone):
-        return f"cone({pretty(x.source)},{pretty(x.target)})"
-    if isinstance(x, MutateLeftNode):
-        return f"L({pretty(x.e)},{pretty(x.x)})"
-    if isinstance(x, MutateRightNode):
-        return f"R({pretty(x.x)},{pretty(x.e)})"
+    word = _WORD_OF.get(type(x))
+    if word is not None:
+        first, second = pair(x)
+        return f"{word}({pretty(first)},{pretty(second)})"
     raise TypeError(f"cannot print {x!r}")

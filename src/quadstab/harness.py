@@ -40,6 +40,7 @@ from .lattice import (
 from .expressions import (
     FormalObject,
     LineAtom,
+    ParseError,
     PushAtom,
     Shift,
     parse_object,
@@ -935,6 +936,8 @@ def run_checks(
         try:
             ok, expected, actual = check.runner(ctx)
             status = "pass" if ok else "fail"
+        except ParseError:
+            raise  # an input refused as too large, like one the parser refuses
         except Exception as exc:  # ambiguity or precondition failures
             status = "ambiguous"
             expected = check.anchor

@@ -34,7 +34,7 @@ from quadstab.calculus import (
     RHomResult,
     SoundnessError,
 )
-from quadstab.harness import Context, _corpus, default_config, run_checks
+from quadstab.harness import Context, _corpus, default_config, run_checks, validate_config
 from quadstab.lattice import KTheory
 
 D = DivisorClass
@@ -483,6 +483,27 @@ class TestTwistMemo:
         assert len(calc._twist_memo) <= 3000
         omega = calc.geometry.canonical_class()
         assert calc.tensor_line(x, omega) == Calculus(Geometry()).tensor_line(x, omega)
+
+
+class TestTwistCommutesWithNormalize:
+    """Twisting by a line bundle is an equivalence, so it commutes with the
+    mutations, L_e x (x) O(D) = L_{e(D)} x(D): twisting an unevaluated tree
+    and then normalizing gives the twisted normal form, mutation records
+    included."""
+
+    TWISTS = (D(1, 0, 0), D(0, 1, 0), D(0, 0, -1))
+
+    def test_on_mutation_trees(self):
+        texts = [text for text in _corpus() if "L(" in text or "R(" in text]
+        trees = [parse_object(text) for text in texts]
+        trees += validate_config(default_config()).names.values()
+        assert len(trees) == 30
+        calc = Calculus(Geometry())
+        for tree in trees:
+            normal = _normal_form(calc, tree)
+            for twist in self.TWISTS:
+                expected = normal if isinstance(normal, type) else calc.tensor_line(normal, twist)
+                assert _normal_form(calc, calc.tensor_line(tree, twist)) == expected, (tree, twist)
 
 
 class TestCopyLimit:

@@ -12,7 +12,6 @@ from quadstab.expressions import (
     LineAtom,
     MutateLeftNode,
     MutateRightNode,
-    Mutation,
     ParseError,
     PushAtom,
     Shift,
@@ -180,27 +179,25 @@ def _all_kinds() -> Cone:
         LineAtom(D(0, 1, 0)),
         Sum((PushAtom(SurfaceDivisor(-1, 0)), Shift(Zero(), 1))),
         "evaluation",
-        Mutation("left", LineAtom(D(0, 0, 0)), inner),
+        MutateLeftNode(LineAtom(D(0, 0, 0)), inner),
     )
 
 
 def _nodes(x):
-    """Every node of a tree, Mutation records included."""
+    """Every node of a tree, the mutation records of cones included."""
     yield x
     if dataclasses.is_dataclass(x):
         for f in dataclasses.fields(x):
             value = getattr(x, f.name)
             for child in value if isinstance(value, tuple) else (value,):
-                if isinstance(child, (FormalObject, Mutation)):
+                if isinstance(child, FormalObject):
                     yield from _nodes(child)
 
 
 class TestNodes:
     def test_every_node_class_is_covered(self):
         kinds = {type(n) for n in _nodes(_all_kinds())}
-        assert kinds == {
-            Cone, LineAtom, MutateLeftNode, MutateRightNode, Mutation, PushAtom, Shift, Sum, Zero
-        }
+        assert kinds == {Cone, LineAtom, MutateLeftNode, MutateRightNode, PushAtom, Shift, Sum, Zero}
 
     def test_equal_trees_have_equal_hashes(self):
         a, b = _all_kinds(), _all_kinds()
@@ -242,9 +239,8 @@ class TestNodes:
             "Cone(source=LineAtom(divisor=DivisorClass(nH=0, nh=1, nk=0)), "
             "target=Sum(children=(PushAtom(beta=SurfaceDivisor(d=-1, e=0)), "
             "Shift(child=Zero(), n=1))), provenance='evaluation', "
-            "mutation=Mutation(direction='left', "
-            "through=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), "
-            "operand=MutateRightNode(x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=0)), "
+            "mutation=MutateLeftNode(e=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), "
+            "x=MutateRightNode(x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=0)), "
             "e=MutateLeftNode(e=Zero(), x=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1))))))"
         )
         assert pretty(tree) == "cone(O(h),sum(OE(-1,0),shift(zero(),1)))"

@@ -388,11 +388,16 @@ class TestTiltCopyLimit:
         return code, capsys.readouterr().out, time.process_time() - start
 
     def test_refused_past_the_limit(self, tmp_path, capsys):
-        # Ext^1 has 348,551 dimensions here
-        code, out, seconds = self.run(100, tmp_path, capsys)
-        assert seconds < 1
-        assert code == 1 and out.startswith("[AMBIGUOUS] heart.B")
-        assert f"CopyLimitError: a cone needs 348551 copies of an object, more than the limit {MAX_COPIES}" in out
+        # Ext^1 has 348,551 dimensions here; refused as an oversized input,
+        # with exit 2, as the parser refuses one
+        path = tmp_path / "tilt.cfg"
+        path.write_text(self.CONFIG.format(n=100), encoding="utf-8")
+        start = time.process_time()
+        code = main(["--config", str(path), "check", "--only", "heart.B"])
+        assert time.process_time() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: a cone needs 348551 copies of an object, more than the limit {MAX_COPIES}\n"
 
     def test_below_the_limit_builds_the_sum(self, tmp_path, capsys):
         _, out, _ = self.run(3, tmp_path, capsys)
@@ -466,6 +471,15 @@ class TestNameLimits:
         path.write_text(named_chain("X", "sum({prev},{prev})", 12), encoding="utf-8")
         assert main(["--config", str(path), "rhom", "O()", "X12"]) == 0
         assert capsys.readouterr().out == "{0: 4096}\n"
+
+    def test_error_line_cuts_a_long_tree(self, tmp_path, capsys):
+        # Z12 stands for a tree of 8,191 nodes, 41 kB when printed in full
+        path = tmp_path / "names.cfg"
+        path.write_text(named_chain("Z", "cone({prev},{prev})", 12), encoding="utf-8")
+        assert main(["--config", str(path), "mutate", "L", "O(-H)", "Z12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mutate_left: RHom(O(-H), cone(cone(") and err.count("\n") == 1
+        assert "...) is ambiguous" in err and len(err.encode()) < 1000
 
     def test_chain_at_the_depth_limit_answers(self, tmp_path, capsys):
         path = tmp_path / "names.cfg"

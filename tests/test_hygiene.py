@@ -6,7 +6,8 @@ in that module (``__init__.py``, whose imports are re-exports, and
 ``from __future__`` are exempt).  Every private ``_name`` function, method
 or class must be referenced somewhere in the package.  Every exception class
 the package defines must be raised by name somewhere in it, so no caller
-catches an exception that can no longer occur.
+catches an exception that can no longer occur.  ``__all__`` lists exactly the
+names ``__init__.py`` imports, so ``from quadstab import *`` re-exports each.
 """
 
 import ast
@@ -85,3 +86,9 @@ def test_every_exception_class_is_raised():
             if issubclass(getattr(module, cls), BaseException) and cls not in raised:
                 never.append(f"{name}: {cls}")
     assert never == []
+
+
+def test_all_names_each_reexport():
+    imported = list(_imported_names(MODULES["__init__.py"]))
+    assert sorted(quadstab.__all__) == sorted(imported)
+    assert [name for name in quadstab.__all__ if not hasattr(quadstab, name)] == []
