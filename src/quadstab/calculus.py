@@ -14,7 +14,9 @@ cone, and _candidates tries its rules in this order:
 3. the long exact sequence of a cone in the second argument, once per
    presentation of that argument as a cone;
 4. the long exact sequence of a cone in the first argument, likewise;
-5. one Serre-duality hop, which transports the query to the other side.
+5. one Serre-duality hop, which transports the query to the other side;
+   the LES sub-queries of a pair under a hop stay on that side and never
+   hop again.
 
 An LES bound is exact in the degrees where every connecting map has forced
 rank: rank 0 when one side vanishes, and rank at least one when one
@@ -33,7 +35,14 @@ Two memos hold these values.  Atom values are keyed by the kind and the
 integer differences of the atoms' coefficients, since line-bundle and O_E
 cohomology is translation invariant: RHom(O(D1), O(D2)) = H*(O(D2 - D1)),
 and likewise for the three mixed kinds.  Composite pairs are keyed by
-(X, Y, transport), since their rules recurse and may take a Serre hop.
+(X, Y, transport), since their rules recurse and may take a Serre hop.  A
+sum is unfolded once per distinct child, whose value is scaled by the
+number of times it occurs.  Keeping a hop's sub-queries on the dual side
+loses nothing: for X = cone(S -> T), the hop of RHom(X, Y) meets the
+sub-query RHom(Y, S (x) omega), whose own hop would land on
+RHom(S (x) omega, Y (x) omega) = RHom(S, Y) by twist invariance, and the
+direct side of the same query computes RHom(S, Y) as its own LES
+sub-query; likewise for a cone in the other argument.
 Beside them the Calculus memoizes per node its K-class, its twists by a
 line bundle, its presentations and its normal form, so a tree shared by
 many queries (a named object, a Serre-twisted argument) is walked once; a
@@ -48,6 +57,7 @@ bound above an upper one) raises SoundnessError, also under python -O.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -158,6 +168,15 @@ class RHomResult:
 
     def dual(self, n: int) -> "RHomResult":
         return self._regrade(GradedDims.dual, n)
+
+    def scale(self, m: int) -> "RHomResult":
+        """The value of m copies of the pair, m >= 1: both bounds and the
+        Euler number times m, an exact value kept exact."""
+        if m == 1:
+            return self
+        lo = self.lo.scale(m)
+        hi = lo if self.hi is self.lo else None if self.hi is None else self.hi.scale(m)
+        return RHomResult(lo, hi, m * self.euler)
 
     def add(self, other: "RHomResult") -> "RHomResult":
         lo = self.lo + other.lo
@@ -489,10 +508,14 @@ class Calculus:
         bound (lower bound 0, no upper bound, the exact Euler number), so
         every recursion of the rules ends.
 
-        `transport` allows one Serre-duality hop for this pair; the hop sets
-        it False so a query cannot bounce between the two sides forever
-        (each hop twists by the canonical bundle, so the pairs never repeat
-        on their own).
+        `transport` allows one Serre-duality hop for this pair and for the
+        LES sub-queries of its rules; the hop sets it False for the dual
+        pair and all of that pair's sub-queries, so a query cannot bounce
+        between the two sides forever (each hop twists by the canonical
+        bundle, so the pairs never repeat on their own) and a pair under a
+        hop never hops again.  A sum is unfolded once per distinct child,
+        in the order of first occurrence, and that child's value is scaled
+        by its multiplicity.
         """
         if isinstance(X, _ATOMS) and isinstance(Y, _ATOMS):
             return self._atom_info(X, Y)
@@ -504,13 +527,13 @@ class Calculus:
             return self._info(X, Y.child, transport).translate(-Y.n)
         if isinstance(X, Sum):
             total = _ZERO
-            for c in X.children:
-                total = total.add(self._info(c, Y, transport))
+            for c, m in Counter(X.children).items():
+                total = total.add(self._info(c, Y, transport).scale(m))
             return total
         if isinstance(Y, Sum):
             total = _ZERO
-            for c in Y.children:
-                total = total.add(self._info(X, c, transport))
+            for c, m in Counter(Y.children).items():
+                total = total.add(self._info(X, c, transport).scale(m))
             return total
 
         key = (X, Y, transport)
@@ -561,14 +584,14 @@ class Calculus:
         for cone in self._presentations(Y):
             # Hom(X, S) -> Hom(X, T); when X is S[m], the identity of S maps
             # to the triangle map, so the rank is >= 1 in degree -m
-            source = self._info(X, cone.source)
-            target = self._info(X, cone.target)
+            source = self._info(X, cone.source, transport)
+            target = self._info(X, cone.target, transport)
             forced = self._same_up_to_shift(cone.source, X)
             yield self._combine_les(cone, source, target, forced, +1, euler)
         for cone in self._presentations(X):
             # Hom(T, Y) -> Hom(S, Y); when Y is T[m], the rank is >= 1 in degree m
-            target = self._info(cone.target, Y)
-            source = self._info(cone.source, Y)
+            target = self._info(cone.target, Y, transport)
+            source = self._info(cone.source, Y, transport)
             forced = self._same_up_to_shift(Y, cone.target)
             yield self._combine_les(cone, source, target, forced, -1, euler)
         if transport:

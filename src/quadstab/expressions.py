@@ -171,9 +171,12 @@ def strip_shift(x: FormalObject) -> tuple[FormalObject, int]:
 # ---------------------------------------------------------------------------
 
 # Most objects nested inside one another that the parser accepts.  The
-# calculus recurses about six frames per level of a cone (the long exact
-# sequence and Serre transport), so 100 levels stay well inside Python's
-# default recursion limit of 1000; real expressions are a few levels deep.
+# calculus recurses about three frames per level of a cone (its long exact
+# sequence; a pair under a Serre hop never hops again), so 100 levels stay
+# well inside Python's default recursion limit of 1000: rhom(O(), chain)
+# for a chain cone(O(), cone(O(), ... O(h))) built in code answers at 300
+# levels and raises RecursionError at 350.  Real expressions are a few
+# levels deep.
 MAX_DEPTH = 100
 
 # Most nodes a parsed tree may hold, with every name expanded into the tree

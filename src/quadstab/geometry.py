@@ -155,10 +155,11 @@ class GradedDims:
     Stored as a dict that holds no zero dimension, so the empty map is the
     zero space and two maps are equal whatever order they were built in;
     items(), str() and repr() list the degrees in increasing order.  The
-    constructor rejects a negative dimension.  translate, dual, +, join, meet
-    and monus cannot make a zero or a negative entry, so they do not check
-    again.  The map is never changed after it is built, so euler() is
-    computed on first use and kept in a slot that equality and hash ignore.
+    constructor rejects a negative dimension.  translate, dual, +, join, meet,
+    monus and scale (by m >= 1) cannot make a zero or a negative entry, so
+    they do not check again.  The map is never changed after it is built, so
+    euler() is computed on first use and kept in a slot that equality and
+    hash ignore.
     """
 
     __slots__ = ("_dims", "_euler")
@@ -205,6 +206,10 @@ class GradedDims:
     def dual(self, n: int) -> "GradedDims":
         """Dims of the dual space placed so degree i maps to n - i."""
         return GradedDims._of({n - d: v for d, v in self._dims.items()})
+
+    def scale(self, m: int) -> "GradedDims":
+        """The dims of m copies of the space, m >= 1."""
+        return GradedDims._of({d: v * m for d, v in self._dims.items()})
 
     def __add__(self, other: "GradedDims") -> "GradedDims":
         if not other._dims:

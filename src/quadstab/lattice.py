@@ -519,13 +519,6 @@ class LatticeQuotient:
     projection: tuple[tuple[int, ...], ...]  # source-basis coords -> Z^rank
     lift: tuple[tuple[int, ...], ...]  # rows: source-basis coords per free generator
 
-    def project(self, source_coords: Sequence[int]) -> tuple[int, ...]:
-        cols = len(self.projection[0]) if self.projection else 0
-        return tuple(
-            sum(self.projection[i][j] * source_coords[i] for i in range(len(source_coords)))
-            for j in range(cols)
-        )
-
 
 def quotient(source: IntegerLattice, kernel: IntegerLattice) -> LatticeQuotient:
     r = source.rank

@@ -333,6 +333,12 @@ class TestGradedDims:
         assert a.meet(zero) == zero.meet(a) == zero
         assert a.monus(zero) == a and zero.monus(a) == zero and a.monus(a) == zero
 
+    def test_scale(self):
+        d = GradedDims({-1: 2, 0: 1, 3: 4})
+        assert d.scale(3) == GradedDims({-1: 6, 0: 3, 3: 12})
+        assert d.scale(3).euler() == 3 * d.euler()
+        assert d.scale(1) == d and GradedDims().scale(5) == GradedDims()
+
     def test_join_meet_monus_degreewise(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -358,7 +364,8 @@ class TestGradedDims:
             a, b = (GradedDims({d: rng.randint(0, 4) for d in range(-3, 4)}) for _ in "ab")
             a.euler(), b.euler()
             t = rng.randint(-3, 3)
-            for out in (a.translate(t), a.dual(t), a + b, a.join(b), a.meet(b), a.monus(b)):
+            outs = (a.translate(t), a.dual(t), a + b, a.join(b), a.meet(b), a.monus(b), a.scale(3))
+            for out in outs:
                 assert out.euler() == self.fresh_euler(out)
                 assert out.euler() == out.euler()  # the kept value
             assert a.euler() == self.fresh_euler(a)

@@ -27,6 +27,8 @@ from quadstab.lattice import (
     solve_rational,
 )
 
+from oracles import project
+
 D = DivisorClass
 S = SurfaceDivisor
 Q = Fraction
@@ -242,7 +244,7 @@ class TestQuotient:
         ker = IntegerLattice(3, [[0, 1, 0], [-1, 0, 1]])
         q = quotient(src, ker)
         for row in ker.hnf:
-            assert all(v == 0 for v in q.project(list(row)))
+            assert all(v == 0 for v in project(q, list(row)))
 
 
 class TestKClasses:
