@@ -210,6 +210,7 @@ class RHomResult:
 
 
 _ZERO = RHomResult.exact(GradedDims())
+_NO_RANK = GradedDims()  # the least rank of an LES map: none in any degree
 
 
 _ATOMS = (LineAtom, PushAtom)
@@ -640,11 +641,11 @@ class Calculus:
             return RHomResult.exact(g.surface_cohomology(beta + omega).dual(3))
         # both on the surface: resolve the left one by line bundles; the
         # result R fits the triangle R -> A -> B, determined when no degree
-        # carries both sides.
+        # carries both sides.  The LES map A -> B has rank at most min(a, b).
         a = g.surface_cohomology(beta)
         E_restr = g.restrict_to_E(g.exceptional_divisor_class())
         b = g.surface_cohomology(beta + E_restr)
-        lo = a.monus(b) + b.monus(a).translate(1)
+        lo = a.les_sum(b, a.meet(b), 1)
         return RHomResult(lo, a + b.translate(1), a.euler() - b.euler())
 
     # -- mutation identities ----------------------------------------------
@@ -717,12 +718,14 @@ class Calculus:
         the second argument and -1 for a cone in the first argument.  Each
         rank lies between 0 and min(source_d, target_d); in the forced degree
         it is at least 1 when the triangle map is canonical and both sides are
-        determined.
+        determined.  The largest rank gives the lower bound and the smallest
+        the upper one, each built by one `GradedDims.les_sum`, so a candidate
+        builds three maps: the rank bound and the two sums.
         """
         if source.hi is None or target.hi is None:
             return RHomResult(GradedDims(), None, euler)
         rank_hi = source.hi.meet(target.hi)
-        rank_lo = GradedDims()
+        rank_lo = _NO_RANK
         if (
             forced_degree is not None
             and cone.provenance != "unspecified"
@@ -731,8 +734,8 @@ class Calculus:
             and rank_hi.get(forced_degree)
         ):
             rank_lo = GradedDims.single(forced_degree)
-        lo = target.lo.monus(rank_hi) + source.lo.monus(rank_hi).translate(-source_offset)
-        hi = target.hi.monus(rank_lo) + source.hi.monus(rank_lo).translate(-source_offset)
+        lo = target.lo.les_sum(source.lo, rank_hi, -source_offset)
+        hi = target.hi.les_sum(source.hi, rank_lo, -source_offset)
         return RHomResult(lo, hi, euler)
 
     # ------------------------------------------------------------------

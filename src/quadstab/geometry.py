@@ -156,10 +156,10 @@ class GradedDims:
     zero space and two maps are equal whatever order they were built in;
     items(), str() and repr() list the degrees in increasing order.  The
     constructor rejects a negative dimension.  translate, dual, +, join, meet,
-    monus and scale (by m >= 1) cannot make a zero or a negative entry, so
-    they do not check again.  The map is never changed after it is built, so
-    euler() is computed on first use and kept in a slot that equality and
-    hash ignore.
+    monus, les_sum and scale (by m >= 1) cannot make a zero or a negative
+    entry, so they do not check again.  The map is never changed after it is
+    built, so euler() is computed on first use and kept in a slot that
+    equality and hash ignore.
     """
 
     __slots__ = ("_dims", "_euler")
@@ -246,6 +246,29 @@ class GradedDims:
         return GradedDims._of(
             {d: v - b.get(d, 0) for d, v in self._dims.items() if v > b.get(d, 0)}
         )
+
+    def les_sum(self, source: "GradedDims", rank: "GradedDims", shift: int) -> "GradedDims":
+        """(self ∸ rank) + (source ∸ rank) moved up by `shift`, in one pass.
+
+        This is what a long exact sequence leaves in each degree: the
+        cokernel of a map of the given rank into self, plus its kernel in
+        source, read `shift` degrees away.  With nothing to take away or
+        add it returns self, so an exact value's shared map stays shared.
+        """
+        r = rank._dims
+        if not r and not source._dims:
+            return self
+        out = {}
+        for d, v in self._dims.items():
+            v -= r.get(d, 0)
+            if v > 0:
+                out[d] = v
+        for d, v in source._dims.items():
+            v -= r.get(d, 0)
+            if v > 0:
+                d += shift
+                out[d] = out.get(d, 0) + v
+        return GradedDims._of(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedDims) and self._dims == other._dims

@@ -250,7 +250,11 @@ class Context:
     and the checks that would use them are skipped.  obj(text) parses against
     the resolved, not yet normalized trees and normalizes the result, so it
     builds only the names the text uses; names builds them all.  Both share
-    the normalize memo of the Calculus, so no name is built twice.  Hearts
+    the normalize memo of the Calculus, so no name is built twice.  obj keeps
+    the normal form it returns per exact text (the names are fixed per
+    Context, so one text always means one tree), and a text that is met
+    again is neither parsed nor normalized again; a text whose parse or
+    build raises is not kept, so it raises again on every call.  Hearts
     are built once: when the build fails, every read of hearts raises that
     same error.
     """
@@ -262,6 +266,7 @@ class Context:
         self.kt = self.calc.ktheory
         self._resolved: Optional[ResolvedConfig] = None
         self._names: Optional[dict[str, FormalObject]] = None
+        self._objs: dict[str, FormalObject] = {}
         self._hearts: Union[dict[str, Heart], Exception, None] = None
         self._descent: Optional[DescentReport] = None
 
@@ -302,7 +307,10 @@ class Context:
     # -- shared named data ---------------------------------------------------
 
     def obj(self, text: str) -> FormalObject:
-        return self.calc.normalize(parse_object(text, self.resolve().names))
+        out = self._objs.get(text)
+        if out is None:
+            out = self._objs[text] = self.calc.normalize(parse_object(text, self.resolve().names))
+        return out
 
     def sod1_objects(self) -> list[FormalObject]:
         return [LineAtom(D) for D in SOD1_DIVISORS]

@@ -34,6 +34,7 @@ from quadstab.calculus import (
     RHomResult,
     SoundnessError,
 )
+from quadstab import harness
 from quadstab.harness import Context, _corpus, default_config, run_checks, validate_config
 from quadstab.lattice import KTheory
 
@@ -798,11 +799,27 @@ class TestGoldenPool:
         return {"euler": r.euler, "lo": [list(p) for p in r.lo.items()], "hi": hi}
 
     @pytest.fixture(scope="class")
-    def replay(self):
+    def parsed(self):
+        """Every text that harness.parse_object parses in this class."""
+        texts = []
+        real = harness.parse_object
+
+        def counting(text, names=None):
+            texts.append(text)
+            return real(text, names)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "parse_object", counting)
+            yield texts
+
+    @pytest.fixture(scope="class")
+    def replay(self, parsed):
         """One Context after the replay, and (x, y, golden, value) per pair."""
         pool = json.loads(self.POOL.read_text(encoding="utf-8"))
         texts = pool["expressions"]
         ctx = Context(default_config())
+        ctx.resolve()
+        parsed.clear()  # the config's own expressions are no pool texts
         rows = []
         for a, b, golden in pool["pairs"]:
             rows.append((texts[a], texts[b], golden, ctx.calc.rhom(ctx.obj(texts[a]), ctx.obj(texts[b]))))
@@ -814,6 +831,12 @@ class TestGoldenPool:
         assert len(rows) == 1000
         assert mismatches == []
         assert sum(not r.determined for *_, r in rows) == 459
+
+    def test_each_distinct_text_is_parsed_once(self, replay, parsed):
+        # the 2,000 texts of the pool hold 881 distinct ones
+        _, rows = replay
+        assert len(parsed) == len(set(parsed)) == 881
+        assert set(parsed) == {text for x, y, *_ in rows for text in (x, y)}
 
     def test_pair_memo_size(self, replay):
         # 9,201 entries while the sub-queries of a pair under a Serre hop

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -348,6 +349,23 @@ class TestGradedDims:
                 assert a.meet(b).get(d) == min(a.get(d), b.get(d))
                 assert a.monus(b).get(d) == max(0, a.get(d) - b.get(d))
 
+    def test_les_sum_is_monus_plus_moved_monus(self):
+        # every map with degrees in -1..2 and dims 0..2, so also the empty
+        # map and a rank above both sides
+        grid = itertools.product(range(3), repeat=4)
+        maps = [GradedDims(dict(zip(range(-1, 3), dims))) for dims in grid]
+        mismatches = []
+        for rank in maps:
+            kept = [m.monus(rank) for m in maps]
+            for shift in (-1, 1):
+                moved = [k.translate(shift) for k in kept]
+                for a, a_kept in zip(maps, kept):
+                    for b, b_moved in zip(maps, moved):
+                        if a.les_sum(b, rank, shift) != a_kept + b_moved:
+                            mismatches.append((a, b, rank, shift))
+        assert len(maps) == 81
+        assert mismatches == []
+
     def test_negative_dimension_rejected_with_geometry_error(self):
         with pytest.raises(GeometryError, match="negative dimension -2 in degree 1"):
             GradedDims({0: 1, 1: -2})
@@ -364,7 +382,16 @@ class TestGradedDims:
             a, b = (GradedDims({d: rng.randint(0, 4) for d in range(-3, 4)}) for _ in "ab")
             a.euler(), b.euler()
             t = rng.randint(-3, 3)
-            outs = (a.translate(t), a.dual(t), a + b, a.join(b), a.meet(b), a.monus(b), a.scale(3))
+            outs = (
+                a.translate(t),
+                a.dual(t),
+                a + b,
+                a.join(b),
+                a.meet(b),
+                a.monus(b),
+                a.scale(3),
+                a.les_sum(b, a.meet(b), t),
+            )
             for out in outs:
                 assert out.euler() == self.fresh_euler(out)
                 assert out.euler() == out.euler()  # the kept value

@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import importlib
 import inspect
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 
 import quadstab
 from quadstab import harness, stability
-from quadstab.calculus import MAX_COPIES, Calculus
+from quadstab.calculus import MAX_COPIES, Calculus, PreconditionError
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
 
 from quadstab.harness import (
@@ -155,11 +157,16 @@ def second_results():
     return run_checks(default_config())
 
 
+def readme_block(opening: str) -> str:
+    """The body of the README's first fenced block that starts at `opening`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(opening + "\n", 1)[1].split("```", 1)[0]
+
+
 def readme_examples() -> list[tuple[list[str], str]]:
     """The (arguments, output) of each `quadstab ...  # -> output` line of
     the README's CLI block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    block = readme_block("## CLI\n\n```")
     return [
         (shlex.split(command)[1:], output)
         for command, output in re.findall(r"^(quadstab .*?)\s+# -> (.*)$", block, re.M)
@@ -179,6 +186,30 @@ class TestReadmeExamples:
     def test_prints_its_output(self, argv, output, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == output + "\n"
+
+    def test_the_example_config_checks(self, tmp_path, capsys):
+        path = tmp_path / "example.cfg"
+        path.write_text(readme_block("```ini"), encoding="utf-8")
+        assert main(["--config", str(path), "check"]) == 0
+
+
+def replay(argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """The exit code, stdout and stderr of main(argv) for each argv, in order."""
+    calls = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        calls.append((code, out.getvalue(), err.getvalue()))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def golden_cli():
+    """The benchmark's recorded CLI queries and one replay of them all."""
+    path = TestBenchmarkGolden.GOLDEN / "cli_pool.json"
+    queries = json.loads(path.read_text(encoding="utf-8"))["queries"]
+    return queries, replay([q["argv"] for q in queries])
 
 
 class TestCli:
@@ -285,20 +316,12 @@ class TestLazyNames:
         assert main(["gram", "TRIPLE"]) == 0
         assert len(mutations) == 3
 
-    def test_cli_pool_does_not_depend_on_reading_names_first(self, monkeypatch, capsys):
-        queries = json.loads(
-            (TestBenchmarkGolden.GOLDEN / "cli_pool.json").read_text(encoding="utf-8")
-        )["queries"]
-        argvs = [q["argv"] for q in queries if q["argv"][0] in ("rhom", "mutate", "class", "gram")]
-
-        def outputs():
-            out = []
-            for argv in argvs:
-                code = main(argv)
-                out.append((code, *capsys.readouterr()))
-            return out
-
-        lazy = outputs()
+    def test_cli_pool_does_not_depend_on_reading_names_first(self, golden_cli, monkeypatch):
+        queries, calls = golden_cli
+        commands = ("rhom", "mutate", "class", "gram")
+        kept = [i for i, q in enumerate(queries) if q["argv"][0] in commands]
+        argvs = [queries[i]["argv"] for i in kept]
+        lazy = [calls[i] for i in kept]
         real_obj = Context.obj
 
         def eager_obj(ctx, text):
@@ -306,7 +329,7 @@ class TestLazyNames:
             return real_obj(ctx, text)
 
         monkeypatch.setattr(Context, "obj", eager_obj)
-        assert outputs() == lazy
+        assert replay(argvs) == lazy
         assert len(argvs) == 560
 
 
@@ -488,19 +511,21 @@ class TestNameLimits:
         assert capsys.readouterr().out.endswith(f"coordinates: [1, {1 - MAX_DEPTH}, 0, 0, 0, 0, 0, 0]\n")
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every text that harness.parse_object parses, in order."""
+    texts = []
+    real = harness.parse_object
+
+    def counting(text, names=None):
+        texts.append(text)
+        return real(text, names)
+
+    monkeypatch.setattr(harness, "parse_object", counting)
+    return texts
+
+
 class TestOneResolution:
-    @pytest.fixture
-    def parsed(self, monkeypatch):
-        texts = []
-        real = harness.parse_object
-
-        def counting(text, names=None):
-            texts.append(text)
-            return real(text, names)
-
-        monkeypatch.setattr(harness, "parse_object", counting)
-        return texts
-
     CONFIG_EXPRESSIONS = [*default_config().objects.values(), "O(-h)", "G", "shift(F,-2)"]
 
     def test_run_checks_parses_each_config_expression_once(self, parsed):
@@ -526,6 +551,43 @@ class TestOneResolution:
             "values for ",
         ):
             assert source.count(fragment) == 1, fragment
+
+
+class TestTextMemo:
+    """Context.obj keeps the normal form it returns per exact text."""
+
+    TEXT = "cone(O(-h),G)"
+
+    @staticmethod
+    def resolved(config, parsed):
+        """A Context with its config resolved, and the parse log emptied."""
+        ctx = Context(config)
+        ctx.resolve()
+        parsed.clear()
+        return ctx
+
+    def test_a_text_is_parsed_once(self, parsed):
+        ctx = self.resolved(default_config(), parsed)
+        first = ctx.obj(self.TEXT)
+        assert ctx.obj(self.TEXT) is first
+        assert parsed == [self.TEXT]
+
+    def test_a_failing_text_raises_on_every_call(self, parsed):
+        # the default [objects] at a twist where G does not exist
+        objects = DEFAULT_CONFIG_TEXT.split("[hearts]")[0].replace("-1,-1", "0,0")
+        ctx = self.resolved(HarnessConfig.from_text(objects), parsed)
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                ctx.obj("G")
+        assert parsed == ["G", "G"]
+        assert ctx._objs == {}
+
+    def test_two_contexts_share_nothing(self, parsed):
+        one = self.resolved(default_config(), parsed)
+        other = self.resolved(default_config(), parsed)
+        x, y = one.obj(self.TEXT), other.obj(self.TEXT)
+        assert x == y and x is not y
+        assert parsed == [self.TEXT, self.TEXT]
 
 
 class TestBrokenHeart:
@@ -654,12 +716,10 @@ class TestBenchmarkGolden:
         )
         assert proc.stdout == (self.GOLDEN / "report.json").read_text(encoding="utf-8")
 
-    def test_cli_pool_as_recorded(self, capsys):
-        queries = json.loads((self.GOLDEN / "cli_pool.json").read_text(encoding="utf-8"))["queries"]
+    def test_cli_pool_as_recorded(self, golden_cli):
+        queries, calls = golden_cli
         mismatches = []
-        for q in queries:
-            code = main(q["argv"])
-            out = capsys.readouterr().out
+        for q, (code, out, _) in zip(queries, calls):
             if (code, out) != (q["code"], q["stdout"]):
                 mismatches.append((q["argv"], code, out))
         assert len(queries) == 821
