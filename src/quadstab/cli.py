@@ -12,8 +12,7 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .geometry import DivisorClass
-from .expressions import ParseError, parse_object, pretty
+from .expressions import ParseError, parse_divisor, pretty
 from .calculus import PreconditionError
 from .harness import (
     ConfigError,
@@ -33,10 +32,6 @@ def _load_config(path: Optional[str]) -> HarnessConfig:
             return HarnessConfig.from_text(handle.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
-
-
-def _parse_divisor_text(text: str) -> DivisorClass:
-    return parse_object(f"O({text})").divisor
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,7 +108,7 @@ def _dispatch(args, ctx: Context) -> int:
         return 0 if all(r.status in ("pass", "skipped") for r in results) else 1
 
     if args.command == "cohomology":
-        D = _parse_divisor_text(args.divisor)
+        D = parse_divisor(args.divisor)
         print(ctx.geometry.threefold_cohomology(D))
         return 0
     if args.command == "rhom":

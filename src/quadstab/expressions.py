@@ -215,6 +215,11 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def end(self) -> None:
+        """Raise unless only whitespace is left."""
+        if self.peek():
+            raise self.error("trailing input")
+
     def expect(self, ch: str) -> None:
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
@@ -379,13 +384,20 @@ def _children(x: FormalObject) -> tuple[FormalObject, ...]:
 def parse_object(text: str, names: Optional[dict[str, FormalObject]] = None) -> FormalObject:
     parser = _Parser(text, names)
     obj = parser.parse_object()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise parser.error("trailing input")
+    parser.end()
     # counted, never expanded, so checked once: parsing is linear in the text
     if parser.nodes > MAX_NODES:
         raise ParseError(f"objects of more than {MAX_NODES} nodes")
     return obj
+
+
+def parse_divisor(text: str) -> DivisorClass:
+    """A divisor such as 'H-h-k' on its own, as written inside O(...); the
+    blank text is the zero divisor.  Error positions are in `text`."""
+    parser = _Parser(text)
+    divisor = parser.parse_divisor() if parser.peek() else DivisorClass(0, 0, 0)
+    parser.end()
+    return divisor
 
 
 # ---------------------------------------------------------------------------

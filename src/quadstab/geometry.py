@@ -14,9 +14,10 @@ the exceptional divisor class is H - h - k and the canonical class is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 Q = Fraction
 
@@ -139,6 +140,12 @@ class ChowElement:
     def of_divisor(D: DivisorClass) -> "ChowElement":
         return ChowElement(c1=(Q(D.nH), Q(D.nh), Q(D.nk)))
 
+    @staticmethod
+    def of_sixths(v: Iterable[int]) -> "ChowElement":
+        """The element whose as_tuple() is the eight integers v divided by 6."""
+        c0, cH, ch, ck, cHh, cHk, chk, c3 = (Q(x, 6) for x in v)
+        return ChowElement(c0, (cH, ch, ck), (cHh, cHk, chk), c3)
+
     def __str__(self) -> str:
         return (
             f"{self.c0} + ({self.c1[0]})H+({self.c1[1]})h+({self.c1[2]})k"
@@ -155,11 +162,11 @@ class GradedDims:
     Stored as a dict that holds no zero dimension, so the empty map is the
     zero space and two maps are equal whatever order they were built in;
     items(), str() and repr() list the degrees in increasing order.  The
-    constructor rejects a negative dimension.  translate, dual, +, join, meet,
-    monus, les_sum and scale (by m >= 1) cannot make a zero or a negative
-    entry, so they do not check again.  The map is never changed after it is
-    built, so euler() is computed on first use and kept in a slot that
-    equality and hash ignore.
+    constructor rejects a degree or a dimension that is not an integer, and
+    a negative dimension.  translate, dual, +, join, meet, monus, les_sum and
+    scale (by m >= 1) cannot make a zero or a negative entry, so they do not
+    check again.  The map is never changed after it is built, so euler() is
+    computed on first use and kept in a slot that equality and hash ignore.
     """
 
     __slots__ = ("_dims", "_euler")
@@ -167,10 +174,14 @@ class GradedDims:
     def __init__(self, data: Optional[Mapping[int, int]] = None):
         dims = {}
         for deg, dim in (data or {}).items():
+            try:
+                deg, dim = operator.index(deg), operator.index(dim)
+            except TypeError:
+                raise GeometryError(f"non-integer degree or dimension {deg!r}: {dim!r}") from None
             if dim < 0:
                 raise GeometryError(f"negative dimension {dim} in degree {deg}")
             if dim:
-                dims[int(deg)] = int(dim)
+                dims[deg] = dim
         self._dims = dims
 
     @staticmethod
@@ -283,20 +294,17 @@ class GradedDims:
         return f"GradedDims({dict(self.items())})"
 
 
-def _p1_cohomology(n: int) -> dict[int, int]:
-    """Cohomology dimensions of O(n) on P^1."""
-    if n >= 0:
-        return {0: n + 1}
-    if n <= -2:
-        return {1: -n - 1}
-    return {}
+def _add_surface_cohomology(dims: dict[int, int], d: int, e: int, shift: int) -> None:
+    """Add the cohomology of O_E(d, e), moved up by `shift` degrees, into `dims`.
 
-
-def _add_surface_cohomology(dims: dict[int, int], s: SurfaceDivisor, shift: int) -> None:
-    """Add the cohomology of O_E(s), moved up by `shift` degrees, into `dims`."""
-    for i, di in _p1_cohomology(s.d).items():
-        for j, dj in _p1_cohomology(s.e).items():
-            dims[i + j + shift] = dims.get(i + j + shift, 0) + di * dj
+    O(n) on P^1 has n + 1 sections for n >= 0, -n - 1 classes in degree 1
+    for n <= -2 and no cohomology for n = -1, so O_E(d, e) has one nonzero
+    degree, (d < 0) + (e < 0), of dimension |(d + 1)(e + 1)|.
+    """
+    dim = abs((d + 1) * (e + 1))
+    if dim:
+        deg = shift + (d < 0) + (e < 0)
+        dims[deg] = dims.get(deg, 0) + dim
 
 
 class Geometry:
@@ -378,17 +386,18 @@ class Geometry:
 
     # -- characteristic classes ----------------------------------------------
 
+    def six_chern_character(self, D: DivisorClass) -> tuple[int, ...]:
+        """6 ch(O(D)) = (6, 6D, 3D^2, D^3) as eight integers, in as_tuple order."""
+        d = (D.nH, D.nh, D.nk)
+        d2 = self._curve_product(d, d)
+        return (6, 6 * D.nH, 6 * D.nh, 6 * D.nk, 3 * d2[0], 3 * d2[1], 3 * d2[2],
+                self._point_product(d, d2))
+
     def chern_character(self, D: DivisorClass) -> ChowElement:
         cached = self._chern_cache.get(D)
         if cached is not None:
             return cached
-        # integer entries, so both products run on ints; only the scalings
-        # by 1/2 and 1/6 below make fractions
-        d = ChowElement(0, (D.nH, D.nh, D.nk), (0, 0, 0), 0)
-        d2 = self.chow_mul(d, d)
-        d3 = self.chow_mul(d2, d)
-        out = ONE + d + d2.scale(Q(1, 2)) + d3.scale(Q(1, 6))
-        self._chern_cache[D] = out
+        out = self._chern_cache[D] = ChowElement.of_sixths(self.six_chern_character(D))
         return out
 
     def chern_classes(self) -> tuple[ChowElement, ChowElement]:
@@ -423,7 +432,7 @@ class Geometry:
     @staticmethod
     def surface_cohomology(s: SurfaceDivisor) -> GradedDims:
         dims: dict[int, int] = {}
-        _add_surface_cohomology(dims, s, 0)
+        _add_surface_cohomology(dims, s.d, s.e, 0)
         return GradedDims._of(dims)
 
     def pushforward_decomposition(
@@ -443,10 +452,17 @@ class Geometry:
         return 1, [SurfaceDivisor(D.nh + j * a, D.nk + j * b) for j in range(1, -n)]
 
     def threefold_cohomology(self, D: DivisorClass) -> GradedDims:
-        level, summands = self.pushforward_decomposition(D)
+        """The cohomology of O(D), summed over the surface degrees of the
+        pushforward_decomposition summands without building them."""
+        a, b = self.config.a, self.config.b
+        n, p, q = D.nH, D.nh, D.nk
         dims: dict[int, int] = {}
-        for s in summands:
-            _add_surface_cohomology(dims, s, level)
+        if n >= 0:
+            for i in range(n + 1):
+                _add_surface_cohomology(dims, p - i * a, q - i * b, 0)
+        else:
+            for j in range(1, -n):
+                _add_surface_cohomology(dims, p + j * a, q + j * b, 1)
         return GradedDims._of(dims)
 
     # -- Riemann-Roch ---------------------------------------------------------

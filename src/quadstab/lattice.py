@@ -19,6 +19,7 @@ of a rational matrix is taken by fraction-free integer elimination.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -366,12 +367,17 @@ class KTheory:
     def _gram_rows(self) -> list[list[int]]:
         """G[i][j] = chi(O(D_i), O(D_j)) = chi(O(D_j - D_i)) on SOD1_DIVISORS.
 
-        Each chi comes from Geometry.euler_characteristic (D_j - D_i is in
-        {-1, 0, 1}^3).
+        D_j - D_i runs over the 27 classes of {-1, 0, 1}^3, so
+        Geometry.euler_characteristic is called once for each of those and
+        the 64 entries are read from them.
         """
         if self._gram is None:
-            chi = self.geometry.euler_characteristic
-            self._gram = [[chi(Dj - Di) for Dj in SOD1_DIVISORS] for Di in SOD1_DIVISORS]
+            euler = self.geometry.euler_characteristic
+            chi = {d: euler(DivisorClass(*d)) for d in itertools.product((-1, 0, 1), repeat=3)}
+            self._gram = [
+                [chi[Dj.nH - Di.nH, Dj.nh - Di.nh, Dj.nk - Di.nk] for Dj in SOD1_DIVISORS]
+                for Di in SOD1_DIVISORS
+            ]
         return self._gram
 
     def euler_pairing(self, x: KClass, y: KClass) -> int:
@@ -434,13 +440,13 @@ class KTheory:
         return KClass(int(c) for c in coords)
 
     def chern(self, x: KClass) -> ChowElement:
-        """Chern character sum_i x_i ch(O(D_i)) of the class."""
-        g = self.geometry
-        total = ChowElement()
-        for c, D in zip(x, SOD1_DIVISORS):
-            if c:
-                total = total + g.chern_character(D).scale(c)
-        return total
+        """Chern character sum_i x_i ch(O(D_i)) of the class.
+
+        The sum runs over the integer rows 6 ch(O(D_i)) and is divided by 6
+        once, at the end.
+        """
+        rows = [self.geometry.six_chern_character(D) for D in SOD1_DIVISORS]
+        return ChowElement.of_sixths(sum(map(operator.mul, x, column)) for column in zip(*rows))
 
 
 # ---------------------------------------------------------------------------

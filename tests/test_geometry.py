@@ -370,6 +370,13 @@ class TestGradedDims:
         with pytest.raises(GeometryError, match="negative dimension -2 in degree 1"):
             GradedDims({0: 1, 1: -2})
 
+    @pytest.mark.parametrize(
+        "data", [{0: 0.5}, {1.7: 2}, {0: Fraction(1, 2)}, {0: Fraction(2)}, {"1": 1}, {0: None}]
+    )
+    def test_non_integer_degree_or_dimension_rejected(self, data):
+        with pytest.raises(GeometryError, match="non-integer degree or dimension"):
+            GradedDims(data)
+
     @staticmethod
     def fresh_euler(d):
         return sum(v if deg % 2 == 0 else -v for deg, v in d.items())

@@ -254,6 +254,25 @@ class TestCli:
         assert main(["rhom", "O(", "O()"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("H+", "expected one of H, h, k (at position 2)"),
+            ("H-x", "expected one of H, h, k (at position 2)"),
+            ("H)x", "trailing input (at position 1)"),
+            (")", "trailing input (at position 0)"),
+            ("H h", "trailing input (at position 2)"),
+        ],
+    )
+    def test_cohomology_error_positions_are_in_the_argument(self, text, message, capsys):
+        assert main(["cohomology", "--", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_cohomology_of_the_blank_divisor(self, text, capsys):
+        assert main(["cohomology", "--", text]) == 0
+        assert capsys.readouterr().out == "{0: 1}\n"
+
     def test_unknown_check_exit_code(self, capsys):
         assert main(["check", "--only", "bogus.check"]) == 2
 

@@ -8,15 +8,19 @@ or class must be referenced somewhere in the package.  Every exception class
 the package defines must be raised by name somewhere in it, so no caller
 catches an exception that can no longer occur.  ``__all__`` lists exactly the
 names ``__init__.py`` imports, so ``from quadstab import *`` re-exports each.
+Every ``module:attr`` target that the benchmark's tracer wraps still exists,
+so a refactor that drops one fails here and not first in a traced run.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import quadstab
 
 PACKAGE = Path(quadstab.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -92,3 +96,31 @@ def test_all_names_each_reexport():
     imported = list(_imported_names(MODULES["__init__.py"]))
     assert sorted(quadstab.__all__) == sorted(imported)
     assert [name for name in quadstab.__all__ if not hasattr(quadstab, name)] == []
+
+
+def _tracer_targets() -> list[str]:
+    """The targets of the LAYERS table in perfbench/tracer.py, read as text."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    layers = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    )
+    return [target for targets in ast.literal_eval(layers).values() for target in targets]
+
+
+def test_every_tracer_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for target in targets:
+        module_name, attr = target.split(":")
+        owner = importlib.import_module(f"quadstab.{module_name}")
+        try:
+            *path, member = attr.split(".")
+            for name in path:
+                owner = getattr(owner, name)
+            inspect.getattr_static(owner, member)
+        except AttributeError:
+            missing.append(target)
+    assert missing == []
