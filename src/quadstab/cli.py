@@ -94,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args, ctx: Context) -> int:
     if args.command in ("check", "report"):
         selection = None
-        if args.command == "check" and args.only:
+        if args.command == "check" and args.only is not None:
             selection = tuple(n.strip() for n in args.only.split(",") if n.strip())
         results = run_checks(ctx, selection)
         print(emit_report(results, "text", ctx.config.twist))
@@ -141,13 +141,9 @@ def _dispatch(args, ctx: Context) -> int:
             print("[" + ", ".join(map(str, row)) + "]")
         return 0
     if args.command == "kernel":
-        from .lattice import quotient
-
-        kernel = ctx.kernel_lattice()
-        source = ctx.dprime_lattice()
-        quot = quotient(source, kernel)
-        print(f"kernel {kernel}")
-        print(f"source {source}")
+        quot = ctx.kernel_quotient()
+        print(f"kernel {quot.kernel}")
+        print(f"source {quot.source}")
         print(f"quotient rank {quot.rank}, torsion {list(quot.torsion) or 'none'}")
         return 0
     raise ConfigError(f"unknown command {args.command!r}")

@@ -139,6 +139,13 @@ class Cone(FormalObject):
 # fields hold them in the order they are written.
 _PAIR_WORDS = {"L": MutateLeftNode, "R": MutateRightNode, "cone": Cone}
 _WORD_OF = {cls: word for word, cls in _PAIR_WORDS.items()}
+# The words the parser reads as constructors, never as names.
+_KEYWORDS = frozenset({"O", "OE", "shift", "sum", "zero", *_PAIR_WORDS})
+
+
+def is_name(word: str) -> bool:
+    """Whether an expression can refer to an object called `word`."""
+    return bool(word) and all(c.isalnum() or c == "_" for c in word) and word not in _KEYWORDS
 
 
 def pair(x: FormalObject) -> tuple[FormalObject, FormalObject]:

@@ -269,7 +269,7 @@ class TestIntegerRiemannRoch:
 
         for name in calls:
             monkeypatch.setattr(Geometry, name, counting(name))
-        ok, _, actual = harness._check_props_hrr(harness.Context(harness.default_config()))
+        ok, actual = harness._check_props_hrr(harness.Context(harness.default_config()))
         assert ok, actual
         assert calls == {"hrr_euler": 0, "chern_character": 0}
 

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,23 @@ from quadstab.harness import (
 from quadstab.cli import main
 
 from test_expressions import NESTERS, nested
+
+
+def with_object(line: str) -> str:
+    return DEFAULT_CONFIG_TEXT.replace("[objects]\n", f"[objects]\n{line}\n")
+
+
+# Configs that a typo would otherwise let run as something else, each with
+# the part of the error that names the section, key or object at fault.
+TYPO_CONFIGS = {
+    "unknown-section": (DEFAULT_CONFIG_TEXT.replace("[geometry]", "[geometri]"), "unknown section [geometri]"),
+    "unknown-geometry-key": (DEFAULT_CONFIG_TEXT.replace("twist =", "twsit ="), "key 'twsit' in [geometry]"),
+    "unknown-checks-key": (DEFAULT_CONFIG_TEXT + "\n[checks]\nskip = kernel.rank\n", "key 'skip' in [checks]"),
+    "default-section-key": ("[DEFAULT]\nX = O()\n" + DEFAULT_CONFIG_TEXT, "key 'X' in [DEFAULT]"),
+    "blank-check-selection": (DEFAULT_CONFIG_TEXT + "\n[checks]\nonly =\n", "names no check"),
+    "keyword-object-name": (with_object("sum = O()"), "object 'sum'"),
+    "spaced-object-name": (with_object("my obj = O()"), "object 'my obj'"),
+}
 
 
 class TestConfig:
@@ -80,6 +98,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_checks(cfg, selection=("serre.canonical",))
 
+    @pytest.mark.parametrize("case", sorted(TYPO_CONFIGS))
+    def test_typos_are_refused_by_name(self, case):
+        text, named = TYPO_CONFIGS[case]
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            Context(HarnessConfig.from_text(text)).resolve()
+
     def test_charge_length_validated(self):
         text = DEFAULT_CONFIG_TEXT.replace(
             "Z_up = Atilde ; (0,1) ; (0,0) ; (0,1)", "Z_up = Atilde ; (0,1)"
@@ -108,11 +132,9 @@ class TestRegistry:
     def test_other_twist_skips_pinned_checks(self):
         cfg = HarnessConfig.from_text(DEFAULT_CONFIG_TEXT.replace("-1,-1", "0,0"))
         results = run_checks(cfg)
-        by_name = {r.name: r for r in results}
-        assert by_name["serre.canonical"].status == "skipped"
-        assert by_name["props.hrr-vs-cohomology"].status == "pass"
-        assert by_name["props.parser-roundtrip"].status == "pass"
-        assert all(r.status in ("pass", "skipped") for r in results)
+        ran = [r.name for r in results if r.status == "pass"]
+        assert ran == [n for n in CHECK_NAMES if n.startswith("props.")] and len(ran) == 5
+        assert [r.status for r in results].count("skipped") == 28
 
 
 class TestReports:
@@ -273,6 +295,11 @@ class TestCli:
         assert main(["cohomology", "--", text]) == 0
         assert capsys.readouterr().out == "{0: 1}\n"
 
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_empty_selection_exit_code(self, only, capsys):
+        assert main(["check", "--only", only]) == 2
+        assert capsys.readouterr().err == "error: the check selection names no check\n"
+
     def test_unknown_check_exit_code(self, capsys):
         assert main(["check", "--only", "bogus.check"]) == 2
 
@@ -341,13 +368,13 @@ class TestLazyNames:
         kept = [i for i, q in enumerate(queries) if q["argv"][0] in commands]
         argvs = [queries[i]["argv"] for i in kept]
         lazy = [calls[i] for i in kept]
-        real_obj = Context.obj
+        real_init = Context.__init__
 
-        def eager_obj(ctx, text):
+        def eager_init(ctx, config):
+            real_init(ctx, config)
             ctx.names
-            return real_obj(ctx, text)
 
-        monkeypatch.setattr(Context, "obj", eager_obj)
+        monkeypatch.setattr(Context, "__init__", eager_init)
         assert replay(argvs) == lazy
         assert len(argvs) == 560
 
@@ -476,6 +503,7 @@ HOSTILE_CONFIGS = {
     "charge-unknown-heart": DEFAULT_CONFIG_TEXT.replace("Z_up = Atilde", "Z_up = Nowhere").encode(),
     "duplicate-object": DEFAULT_CONFIG_TEXT.replace("[objects]\n", "[objects]\nG = O()\n").encode(),
     "unknown-check": (DEFAULT_CONFIG_TEXT + "\n[checks]\nonly = nonexistent.check\n").encode(),
+    **{case: text.encode() for case, (text, _) in TYPO_CONFIGS.items()},
     # Fraction would expand the charge into a 33-million-bit integer
     "charge-in-exponent-notation": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1e10000000,1/100)").encode(),
     **{case: text.encode() for case, text in NAME_CONFIGS.items()},
@@ -767,3 +795,18 @@ class TestTracerTargets:
             assert not isinstance(raw, functools.cached_property), target
             if target in self.PROPERTIES:
                 assert isinstance(raw, property), target
+
+    def test_wrapped_registry_runs_each_check_once(self, monkeypatch):
+        # the rows and the names property wrapped as Tracer.install wraps them
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer_module = importlib.import_module("tracer")
+        tracer, group = tracer_module.Tracer(), tracer_module.CHECK_GROUP
+        wrapped = tuple(replace(c, runner=tracer._wrap(c.runner, group, c.name)) for c in harness.REGISTRY)
+        monkeypatch.setattr(harness, "REGISTRY", wrapped)
+        names = inspect.getattr_static(Context, "names")
+        monkeypatch.setattr(Context, "names", property(tracer._wrap(names.fget, "harness.context")))
+        report = emit_report(run_checks(), "json", DEFAULT_TWIST) + "\n"
+        assert report == (TestBenchmarkGolden.GOLDEN / "report.json").read_text(encoding="utf-8")
+        assert tracer.calls[group] == len(CHECK_NAMES) and set(tracer.check_s) == set(CHECK_NAMES)
+        assert set(Context(default_config()).names) == {"G", "F", "Ecal"}
+        assert tracer.calls["harness.context"] == 1
