@@ -247,14 +247,13 @@ class _Parser:
         return int(token)
 
     def read_int(self) -> int:
-        self.skip_ws()
-        sign = -1 if self.peek() == "-" else 1
-        if self.peek() in "+-":
+        sign = self.peek()
+        if sign in ("+", "-"):  # a tuple: "", the end of the text, is in every string
             self.pos += 1
         value = self.read_digits()
         if value is None:
             raise self.error("expected an integer")
-        return sign * value
+        return -value if sign == "-" else value
 
     def read_word(self) -> str:
         self.skip_ws()
@@ -293,7 +292,7 @@ class _Parser:
             coeffs[self.text[self.pos]] += sign * mag
             self.pos += 1
             first = False
-            if self.peek() not in "+-":
+            if self.peek() not in ("+", "-"):
                 break
         for sym, coeff in coeffs.items():
             if abs(coeff) > MAX_COEFFICIENT:

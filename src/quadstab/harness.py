@@ -9,16 +9,19 @@ property checks, named 'props.*', run at every twist; the golden values of
 the others are specific to the default twist (-1, -1), and they are
 skipped, not run, at other twists.
 
-HarnessConfig.from_text reads the INI text, refuses a section or key it
-does not know, and parses the twist, the charge values and the check
-selection; validate_config, the only code that parses its expressions,
-checks the rest of the config in one pass and returns a ResolvedConfig,
-from which Context builds its objects and hearts.
+HarnessConfig.from_text reads the INI text in one pass over its lines
+(_read_sections: '[name]' headers, 'key = value' lines split at the first
+'=', full-line '#' comments and indented continuation lines, the grammar
+the README states), refuses a section or key it does not know, and parses
+the twist, the charge values and the check selection; validate_config,
+the only code that parses its expressions, checks the rest of the config
+in one pass and returns a ResolvedConfig, from which Context builds its
+objects and hearts.  A check that reads a heart or charge the config does
+not define raises ConfigError, which run_checks lets through.
 """
 
 from __future__ import annotations
 
-import configparser
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -113,49 +116,95 @@ class HarnessConfig:
 
     @staticmethod
     def from_text(text: str) -> "HarnessConfig":
-        parser = configparser.ConfigParser(
-            delimiters=("=",), comment_prefixes=("#",), interpolation=None
-        )
-        parser.optionxform = str
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config: {exc}") from exc
-        defaults = list(parser.defaults())
-        if defaults:  # configparser would copy them into every section
-            raise ConfigError(f"key {defaults[0]!r} in [DEFAULT]: keys belong in a named section")
-        for section in parser.sections():
+        sections = _read_sections(text)
+        defaults = sections.pop("DEFAULT", {})
+        if defaults:
+            raise ConfigError(f"key {next(iter(defaults))!r} in [DEFAULT]: keys belong in a named section")
+        for section, keys in sections.items():
             if section not in SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
             allowed = SECTIONS[section]
-            for key in parser.options(section):
+            for key in keys:
                 if allowed is not None and key not in allowed:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
         cfg = HarnessConfig()
-        if parser.has_section("geometry") and parser.has_option("geometry", "twist"):
-            raw = parser.get("geometry", "twist")
+        raw = sections.get("geometry", {}).get("twist")
+        if raw is not None:
             try:
                 a, b = (int(t.strip()) for t in raw.split(","))
             except ValueError as exc:
                 raise ConfigError(f"bad twist {raw!r}") from exc
             cfg.twist = (a, b)
-        if parser.has_section("objects"):
-            for name, expr in parser.items("objects"):
-                cfg.objects[name] = expr.strip()
-        if parser.has_section("hearts"):
-            for name, defn in parser.items("hearts"):
-                cfg.hearts[name] = defn.strip()
-        if parser.has_section("charges"):
-            for name, defn in parser.items("charges"):
-                parts = [p.strip() for p in defn.split(";")]
-                if len(parts) < 2:
-                    raise ConfigError(f"charge {name!r} needs a heart and values")
-                values = tuple(_parse_complex_pair(p, name) for p in parts[1:])
-                cfg.charges[name] = (parts[0], values)
-        if parser.has_section("checks") and parser.has_option("checks", "only"):
-            names = [n.strip() for n in parser.get("checks", "only").split(",") if n.strip()]
-            cfg.selection = tuple(names)
+        cfg.objects = {name: expr.strip() for name, expr in sections.get("objects", {}).items()}
+        cfg.hearts = {name: defn.strip() for name, defn in sections.get("hearts", {}).items()}
+        for name, defn in sections.get("charges", {}).items():
+            parts = [p.strip() for p in defn.split(";")]
+            if len(parts) < 2:
+                raise ConfigError(f"charge {name!r} needs a heart and values")
+            values = tuple(_parse_complex_pair(p, name) for p in parts[1:])
+            cfg.charges[name] = (parts[0], values)
+        only = sections.get("checks", {}).get("only")
+        if only is not None:
+            cfg.selection = tuple(n.strip() for n in only.split(",") if n.strip())
         return cfg
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """The section -> key -> value map of an INI text, read in one pass.
+
+    Lines are split on "\n" only and stripped of whitespace.  A blank line,
+    or a line that starts with '#', holds nothing; a blank line inside a
+    value adds an empty line to it.  A line indented deeper than the last
+    key line continues that key's value.  Any other line is a '[name]'
+    header or a 'key = value' line split at its first '='.  A value is its
+    lines joined by "\n", with trailing blank lines dropped.  A header met
+    again is an error, except [DEFAULT], and so is a key met again in its
+    section.  This is the map configparser gives with delimiters ('=',),
+    comment prefixes ('#',), no interpolation and case-keeping keys, except
+    that a line starting with '[' must be exactly '[name]' with a name.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = ""
+    keys: Optional[dict[str, list[str]]] = None
+    value: Optional[list[str]] = None  # the lines of the value being read
+    indent = 0  # the indentation of the last header or key line
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            if value is not None:
+                value.append("")
+            continue
+        if stripped[0] == "#":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(stripped)
+            continue
+        indent = depth
+        if stripped[0] == "[":
+            section = stripped[1:-1]
+            if stripped[-1] != "]" or not section:
+                raise ConfigError(f"config line {number}: expected '[section]', got {stripped!r}")
+            if section in sections and section != "DEFAULT":
+                raise ConfigError(f"config line {number}: section [{section}] is given twice")
+            keys = sections.setdefault(section, {})
+            value = None
+        elif keys is None:
+            raise ConfigError(f"config line {number}: {stripped!r} comes before any [section] header")
+        else:
+            key, delimiter, rest = stripped.partition("=")
+            key = key.rstrip()
+            if not delimiter:
+                raise ConfigError(f"config line {number}: expected 'key = value', got {stripped!r}")
+            if not key:
+                raise ConfigError(f"config line {number}: no key before '=' in {stripped!r}")
+            if key in keys:
+                raise ConfigError(f"config line {number}: key {key!r} is given twice in [{section}]")
+            value = keys[key] = [rest.strip()]
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in entries.items()}
+        for name, entries in sections.items()
+    }
 
 
 def _parse_complex_pair(text: str, owner: str) -> tuple[Q, Q]:
@@ -167,9 +216,15 @@ def _parse_complex_pair(text: str, owner: str) -> tuple[Q, Q]:
         raise ConfigError(f"charge {owner!r}: exponent notation is not accepted, got {text!r}")
     try:
         re_s, im_s = text[1:-1].split(",")
-        return (Fraction(re_s.strip()), Fraction(im_s.strip()))
+        return (_fraction(re_s.strip()), _fraction(im_s.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"charge {owner!r}: bad value {text!r}") from exc
+
+
+def _fraction(text: str) -> Q:
+    """Fraction(text), through int() when text is plain ASCII digits: Fraction's
+    string pattern costs more than the number."""
+    return Fraction(int(text)) if text.isascii() and text.isdigit() else Fraction(text)
 
 
 def default_config() -> HarnessConfig:
@@ -327,6 +382,19 @@ class Context:
     def charges(self) -> dict[str, tuple[str, CentralCharge]]:
         return self.resolve().charges
 
+    def heart(self, name: str) -> Heart:
+        """The configured heart of this name; a config without it is at fault."""
+        if name not in self.resolve().hearts:
+            raise ConfigError(f"unknown heart {name!r}")
+        return self.hearts[name]
+
+    def charge(self, name: str) -> tuple[str, CentralCharge]:
+        """The configured charge of this name with its heart's name."""
+        charges = self.charges
+        if name not in charges:
+            raise ConfigError(f"unknown charge {name!r}")
+        return charges[name]
+
     # -- shared named data ---------------------------------------------------
 
     def obj(self, text: str) -> FormalObject:
@@ -379,7 +447,7 @@ class Context:
     def descent(self) -> DescentReport:
         """The descent of the charge Z_up and the heart its config line names."""
         if self._descent is None:
-            heart_name, Z = self.charges["Z_up"]
+            heart_name, Z = self.charge("Z_up")
             self._descent = descend(self.calc, self.hearts[heart_name], self.kernel_classes(), Z)
         return self._descent
 
@@ -606,14 +674,13 @@ def _check_ext_triple(ctx: Context) -> tuple[bool, str]:
 
 
 def _check_heart_b(ctx: Context) -> tuple[bool, str]:
-    heart = ctx.hearts.get("B")
-    ok = heart is not None and len(heart) == 3
-    return ok, f"simples: {heart.labels if heart else None}"
+    heart = ctx.heart("B")
+    return len(heart) == 3, f"simples: {heart.labels}"
 
 
 def _check_tilt_simples(ctx: Context) -> tuple[bool, str]:
     calc = ctx.calc
-    tilted = ctx.hearts["Atilde"]
+    tilted = ctx.heart("Atilde")
     expected = [
         calc.class_of(ctx.obj("shift(F,-1)")),
         calc.class_of(ctx.obj("shift(Ecal,-2)")),
@@ -624,7 +691,7 @@ def _check_tilt_simples(ctx: Context) -> tuple[bool, str]:
 
 
 def _check_tilt_dims(ctx: Context) -> tuple[bool, str]:
-    heart = ctx.hearts["B"]
+    heart = ctx.heart("B")
     d1 = heart.hom_table[0][2].get(1)
     d2 = heart.hom_table[1][2].get(1)
     return (d1, d2) == (1, 0), f"({d1}, {d2})"
@@ -664,10 +731,10 @@ def _check_descent_strong(ctx: Context) -> tuple[bool, str]:
 
 
 def _check_axioms_upstairs(ctx: Context) -> tuple[bool, str]:
-    heart_name, Z = ctx.charges["Z_up"]
+    heart_name, Z = ctx.charge("Z_up")
     rep = check_weak_stability_condition(ctx.hearts[heart_name], Z, ctx.descent())
     # the torsion-pair charge on B: slope of the third simple is smallest
-    _, ZB = ctx.charges["Z_B"]
+    _, ZB = ctx.charge("Z_B")
     s1 = slope(ZB, [1, 0, 0])
     s3 = slope(ZB, [0, 0, 1])
     order_ok = s1 > s3
@@ -938,8 +1005,8 @@ def run_checks(
             try:
                 ok, actual = check.runner(ctx)
                 status = "pass" if ok else "fail"
-            except ParseError:
-                raise  # an input refused as too large, like one the parser refuses
+            except (ParseError, ConfigError):
+                raise  # an input refused as too large, or a config without a name a check reads
             except Exception as exc:  # ambiguity or precondition failures
                 status = "ambiguous"
                 expected = check.anchor

@@ -1,5 +1,6 @@
 """Reference functions that only the tests use; the package does not need them."""
 
+import configparser
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,3 +54,19 @@ def threefold_cohomology(g: Geometry, D: DivisorClass) -> dict[int, int]:
             for j, dj in p1_cohomology(s.e).items():
                 dims[i + j + level] = dims.get(i + j + level, 0) + di * dj
     return dims
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """The section -> key -> value map that configparser reads from an INI
+    text, with the settings the harness once used: '=' the only delimiter,
+    '#' the only comment prefix, no interpolation and keys kept as written.
+    [DEFAULT] holds its own keys only, and is left out when it holds none.
+    Raises configparser.Error for a text that configparser refuses."""
+    parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    defaults = dict(parser.defaults())
+    for key in defaults:  # else every section would list them as its own
+        parser.remove_option(parser.default_section, key)
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    return {parser.default_section: defaults, **sections} if defaults else sections

@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
 from quadstab.geometry import DivisorClass, SurfaceDivisor
+from quadstab.harness import _corpus
 from quadstab.expressions import (
     MAX_COEFFICIENT,
     MAX_DEPTH,
@@ -73,6 +75,32 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_object(bad)
         assert "position" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["OE(", "OE(-", "shift(O(),", "O(H+", "sum(O(),"])
+    def test_error_at_the_end_is_at_the_end(self, bad):
+        with pytest.raises(ParseError) as err:
+            parse_object(bad)
+        assert err.value.position == len(bad)
+
+    def test_error_positions_lie_inside_the_text(self):
+        # every prefix of the corpus texts, and each with one character
+        # deleted, doubled or replaced by a sign, digit or bracket
+        rng = random.Random(251)
+        texts = set()
+        for text in _corpus():
+            texts.update(text[:i] for i in range(len(text)))
+            for _ in range(10):
+                i = rng.randrange(len(text))
+                texts.update((text[:i] + text[i + 1 :], text[:i] + text[i] + text[i:]))
+                texts.add(text[:i] + rng.choice("+-,()0 ") + text[i + 1 :])
+        outside = []
+        for text in sorted(texts):
+            try:
+                parse_object(text)
+            except ParseError as exc:
+                if exc.position is not None and not 0 <= exc.position <= len(text):
+                    outside.append((text, exc.position))
+        assert outside == [] and len(texts) > 3000
 
 
 NESTERS = {

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import functools
 import importlib
@@ -5,12 +6,14 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ from quadstab.harness import (
 )
 from quadstab.cli import main
 
+from oracles import configparser_sections
 from test_expressions import NESTERS, nested
 
 
@@ -74,6 +78,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HarnessConfig.from_text("[charges]\nZ = B ; 0,1\n")
 
+    @pytest.mark.parametrize("value", ["0", "007", "1/100", "-3", "+2", " 12 ", "1_000", "\u0661", "9" * 40])
+    def test_charge_values_equal_fraction(self, value):
+        # plain ASCII digits take int(), the rest Fraction's own string parse
+        assert harness._parse_complex_pair(f"({value},1)", "Z") == (Fraction(value.strip()), 1)
+
+    @pytest.mark.parametrize("value", ["\u00b2", "", "1/0", "9" * 5000])
+    def test_bad_charge_values(self, value):
+        with pytest.raises(ConfigError, match="bad value"):
+            harness._parse_complex_pair(f"({value},1)", "Z")
+
     def test_unknown_check_selection(self):
         with pytest.raises(ConfigError):
             run_checks(default_config(), selection=("not.a.check",))
@@ -110,6 +124,81 @@ class TestConfig:
         )
         with pytest.raises(ConfigError):
             run_checks(HarnessConfig.from_text(text), selection=("serre.canonical",))
+
+
+# Lines for random INI texts: headers, key lines, continuations, comments
+# and blanks, with the odd forms and whitespace configparser treats
+# specially ('\r', '\x0c' and '\u2028' are whitespace but do not end a line).
+INI_PIECES = (
+    "[DEFAULT]", "[]", "[a] b", "[ x ]", "[a]", "[b]", "  [b]", "[a]]", "[[a]", "[a",
+    "k =", "=x", " = x", "a = b = c", "k = v", "K = v", "k=v", "no equals here", "  k = w", "\tm = n",
+    "  continued", "\tcontinued", "      deeper", "", "   ", "# comment", "   # indented comment",
+    "\t#", "k = v\r", "\r", "\x0ck = v", "  \x0ccontinued", "x = \x0c", "k\u2028= v",
+    "\u2028continued", "x = \u2028", "\u2028", "k = v # not a comment",
+)
+# The one form the reader refuses although configparser reads it: a line
+# that starts with '[' and is not '[name]'.
+REFUSED_FORM = "expected '[section]'"
+
+
+def _ordered(sections: dict) -> dict:
+    """Each section's keys in order; an empty [DEFAULT] holds nothing."""
+    return {name: list(keys.items()) for name, keys in sections.items() if name != "DEFAULT" or keys}
+
+
+class TestConfigReader:
+    """harness._read_sections against configparser, the reader it replaced."""
+
+    def test_agrees_with_configparser(self):
+        rng = random.Random(1919)
+        seen = {"same map": 0, "both refuse": 0, "refused form": 0}
+        for _ in range(4000):
+            lines = [rng.choice(INI_PIECES) for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.8:
+                lines.insert(0, rng.choice(("[a]", "[b]", "[DEFAULT]")))
+            text = "\n".join(lines) + rng.choice(("", "\n"))
+            try:
+                want = configparser_sections(text)
+            except configparser.Error:
+                want = None
+            try:
+                got = harness._read_sections(text)
+            except ConfigError as exc:
+                # a refusal is either configparser's too, or the one named form
+                assert want is None or REFUSED_FORM in str(exc), (text, want, exc)
+                seen["both refuse" if want is None else "refused form"] += 1
+                continue
+            assert want is not None, (text, got)
+            assert _ordered(got) == _ordered(want), text
+            seen["same map"] += 1
+        assert min(seen.values()) > 20, seen
+
+    @pytest.mark.parametrize("line", ["[hearts] extra", "[] = O()", "[objects = O()"])
+    def test_refuses_a_bracket_line_that_is_not_a_header(self, line):
+        text = f"[objects]\nA = O()\n{line}\n"
+        assert configparser_sections(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config line 3: {REFUSED_FORM}")):
+            harness._read_sections(text)
+
+    def test_continued_values(self):
+        text = "[objects]\nA = sum(O(),\n\n  # a comment\n   O(h))\n\n\nB = A\n"
+        expected = {"objects": {"A": "sum(O(),\n\nO(h))", "B": "A"}}
+        assert harness._read_sections(text) == configparser_sections(text) == expected
+        assert HarnessConfig.from_text(text).objects["A"] == "sum(O(),\n\nO(h))"
+
+    def test_default_config_is_read_on_every_call(self, monkeypatch, capsys):
+        calls = []
+        real = HarnessConfig.from_text
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(HarnessConfig, "from_text", staticmethod(counting))
+        argvs = [["cohomology", "H"], ["rhom", "O()", "O(h)"], ["rhom", "O()", "O(h)"], ["kernel"]]
+        for argv in argvs:
+            assert main(argv) == 0
+        assert calls == [DEFAULT_CONFIG_TEXT] * len(argvs)
 
 
 class TestRegistry:
@@ -496,6 +585,16 @@ NAME_CONFIGS = {
     "name-cone-doubling-20": named_chain("Z", "cone({prev},{prev})", 20),
 }
 
+# Configs that are not INI text of the accepted form, each with the number
+# of the line at fault.
+MALFORMED_CONFIGS = {
+    "no-section-header": ("twist = -1,-1\n" + DEFAULT_CONFIG_TEXT, 1),
+    "line-without-equals": (with_object("A O()"), 5),
+    "empty-key": (with_object("= O()"), 5),
+    "duplicate-section": (DEFAULT_CONFIG_TEXT + "\n[geometry]\n", DEFAULT_CONFIG_TEXT.count("\n") + 2),
+    "duplicate-key": (DEFAULT_CONFIG_TEXT.replace("twist = -1,-1\n", "twist = -1,-1\ntwist = 0,0\n"), 3),
+}
+
 HOSTILE_CONFIGS = {
     "not-utf8": b"\xff\xfe[geometry]\ntwist = -1,-1\n",
     "charge-divides-by-zero": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1/0,1)").encode(),
@@ -507,6 +606,7 @@ HOSTILE_CONFIGS = {
     # Fraction would expand the charge into a 33-million-bit integer
     "charge-in-exponent-notation": DEFAULT_CONFIG_TEXT.replace("(1,1/100)", "(1e10000000,1/100)").encode(),
     **{case: text.encode() for case, text in NAME_CONFIGS.items()},
+    **{case: text.encode() for case, (text, _) in MALFORMED_CONFIGS.items()},
 }
 
 
@@ -521,6 +621,47 @@ class TestHostileConfigs:
         assert main(["--config", str(path), *command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_text_names_its_line(self, case, tmp_path, capsys):
+        text, line = MALFORMED_CONFIGS[case]
+        path = tmp_path / "malformed.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "rhom", "O()", "O(h)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config line {line}: ") and err.count("\n") == 1
+
+
+# The default config without one heart or charge a check reads by name,
+# with a check that reads it.
+MISSING_NAMES = {
+    "B": (
+        DEFAULT_CONFIG_TEXT.replace("B = O(-h)", "B0 = O(-h)").replace("tilt B ", "tilt B0 ").replace("= B ;", "= B0 ;"),
+        "heart.B",
+    ),
+    "Atilde": (DEFAULT_CONFIG_TEXT.replace("Atilde", "At"), "tilt.simples"),
+    "Z_B": (DEFAULT_CONFIG_TEXT.replace("Z_B = B ; (0,1) ; (0,1) ; (1,1/100)\n", ""), "axioms.weak-upstairs"),
+    "Z_up": (DEFAULT_CONFIG_TEXT.replace("Z_up = Atilde ; (0,1) ; (0,0) ; (0,1)\n", ""), "descent.kerZ"),
+}
+
+
+class TestMissingNames:
+    """A config without a heart or charge that a check reads is at fault:
+    the check stops the run with a config error, it is not ambiguous."""
+
+    @pytest.mark.parametrize("name", sorted(MISSING_NAMES))
+    def test_exits_2_naming_it(self, name, tmp_path, capsys):
+        text, check = MISSING_NAMES[name]
+        assert text != DEFAULT_CONFIG_TEXT
+        path = tmp_path / "missing.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "check", "--only", check]) == 2
+        kind = "charge" if name.startswith("Z_") else "heart"
+        assert capsys.readouterr().err == f"error: unknown {kind} {name!r}\n"
+
+    def test_run_checks_lets_it_through(self):
+        with pytest.raises(ConfigError, match="unknown heart 'Atilde'"):
+            run_checks(HarnessConfig.from_text("[geometry]\ntwist = -1,-1\n"), ("tilt.simples",))
 
 
 class TestNameLimits:

@@ -10,6 +10,8 @@ catches an exception that can no longer occur.  ``__all__`` lists exactly the
 names ``__init__.py`` imports, so ``from quadstab import *`` re-exports each.
 Every ``module:attr`` target that the benchmark's tracer wraps still exists,
 so a refactor that drops one fails here and not first in a traced run.
+No module imports configparser: the harness reads its INI text itself, and
+a second reader beside it would read some texts differently.
 """
 
 import ast
@@ -22,6 +24,19 @@ import quadstab
 PACKAGE = Path(quadstab.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_configparser():
+    importers = [name for name, tree in MODULES.items() if "configparser" in set(_imported_modules(tree))]
+    assert importers == []
 
 
 def _used_names(tree) -> set[str]:
