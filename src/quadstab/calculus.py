@@ -496,6 +496,9 @@ class Calculus:
     # ------------------------------------------------------------------
 
     def rhom(self, X: FormalObject, Y: FormalObject) -> RHomResult:
+        # an atom is its own normal form
+        if isinstance(X, _ATOMS) and isinstance(Y, _ATOMS):
+            return self._atom_info(X, Y)
         return self._info(self.normalize(X), self.normalize(Y))
 
     def _info(self, X: FormalObject, Y: FormalObject, transport: bool = True) -> RHomResult:

@@ -770,38 +770,30 @@ def _check_props_hrr(ctx: Context) -> tuple[bool, str]:
 
 def _check_props_euler(ctx: Context) -> tuple[bool, str]:
     calc = ctx.calc
-    kt = ctx.kt
-    atoms: list[FormalObject] = []
-    for nH in range(-2, 3):
-        for nh in range(-2, 3):
-            for nk in range(-2, 3):
-                atoms.append(LineAtom(DivisorClass(nH, nh, nk)))
-    for d in range(-2, 3):
-        for e in range(-2, 3):
-            atoms.append(PushAtom(SurfaceDivisor(d, e)))
-    named = []
+    span = range(-2, 3)
+    objects: list[FormalObject] = [LineAtom(DivisorClass(a, b, c)) for a in span for b in span for c in span]
+    objects += [PushAtom(SurfaceDivisor(d, e)) for d in span for e in span]
+    atoms = range(len(objects))
     if ctx.config.twist == DEFAULT_TWIST:
-        named = [ctx.obj(n) for n in ("G", "F", "Ecal")]
-    # each object with its class, taken once before the pair loop
-    atom_cls = [(x, calc.class_of(x)) for x in atoms]
-    named_cls = [(x, calc.class_of(x)) for x in named]
-    bad = 0
-    determined = 0
-    total = 0
-    pairs = [(x, y) for x in atom_cls for y in atom_cls]
-    pairs += [(x, y) for x in named_cls for y in atom_cls]
-    pairs += [(x, y) for x in atom_cls for y in named_cls]
-    pairs += [(x, y) for x in named_cls for y in named_cls]
-    for (x, cx), (y, cy) in pairs:
-        total += 1
-        r = calc.rhom(x, y)
-        expected = kt.euler_pairing(cx, cy)
-        if r.euler != expected:
-            bad += 1
-        if r.status == "determined":
-            determined += 1
-            if r.dims.euler() != expected:
-                bad += 1
+        objects += [ctx.obj(n) for n in ("G", "F", "Ecal")]
+    named = range(len(atoms), len(objects))
+    # the oracle is the integer HRR Gram form x^T G y of the classes (the
+    # registry's "Chern-character pairing" text predates it and is golden)
+    gram = ctx.kt.gram_matrix([calc.class_of(x) for x in objects])
+    bad = determined = total = 0
+    for rows, columns in ((atoms, atoms), (named, atoms), (atoms, named), (named, named)):
+        for i in rows:
+            x, expected_row = objects[i], gram[i]
+            for j in columns:
+                total += 1
+                r = calc.rhom(x, objects[j])
+                expected = expected_row[j]
+                if r.euler != expected:
+                    bad += 1
+                if r.status == "determined":
+                    determined += 1
+                    if r.dims.euler() != expected:
+                        bad += 1
     return bad == 0, f"{bad} mismatches over {total} pairs ({determined} determined)"
 
 

@@ -306,7 +306,8 @@ class KTheory:
     tensor product with O(D) by linearity over the line-bundle basis; the
     Euler pairing from an integer Gram matrix built on first
     use by Hirzebruch-Riemann-Roch, as the covector x^T G, memoized per
-    class x, dotted with y.
+    class x, dotted with y.  gram_matrix computes one covector per row and
+    does not keep it, so the memo holds only left arguments of euler_pairing.
     """
 
     def __init__(self, geometry: Geometry):
@@ -380,13 +381,15 @@ class KTheory:
             ]
         return self._gram
 
+    def _covector(self, x: KClass) -> tuple[int, ...]:
+        """The row vector x^T G."""
+        return tuple(sum(map(operator.mul, x, column)) for column in zip(*self._gram_rows()))
+
     def euler_pairing(self, x: KClass, y: KClass) -> int:
         """chi(x, y) = x^T G y, as the covector x^T G (kept per x) dotted with y."""
         covector = self._covectors.get(x)
         if covector is None:
-            covector = self._covectors[x] = tuple(
-                sum(map(operator.mul, x, column)) for column in zip(*self._gram_rows())
-            )
+            covector = self._covectors[x] = self._covector(x)
         return sum(map(operator.mul, covector, y))
 
     def serre_class(self, x: KClass) -> KClass:
@@ -408,7 +411,8 @@ class KTheory:
         return x - e.scale(self.euler_pairing(x, e))
 
     def gram_matrix(self, classes: Sequence[KClass]) -> list[list[int]]:
-        return [[self.euler_pairing(x, y) for y in classes] for x in classes]
+        """[[chi(x, y) for y] for x], one covector x^T G per row, not kept."""
+        return [[sum(map(operator.mul, c, y)) for y in classes] for c in map(self._covector, classes)]
 
     # -- integral coordinates ----------------------------------------------------
 

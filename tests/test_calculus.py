@@ -578,11 +578,60 @@ class TestAtomMemo:
         assert atom_keys == 13**3 + 3 * 13**2
 
 
+R2 = range(-2, 3)
+SMALL_GRID = [LineAtom(D(a, b, c)) for a in R2 for b in R2 for c in R2] + [PushAtom(S(d, e)) for d in R2 for e in R2]
+ATOM_PAIRS = [(x, y) for x in SMALL_GRID for y in SMALL_GRID]
+
+
+class TestAtomRhom:
+    """rhom answers two atoms straight from the atom memo, since an atom is
+    its own normal form; every other pair goes through normalize."""
+
+    @staticmethod
+    def via_normal_forms(calc, x, y):
+        return calc._info(calc.normalize(x), calc.normalize(y))
+
+    def test_fresh(self):
+        for x, y in random.Random(2026).sample(ATOM_PAIRS, 400):
+            reference = Calculus(Geometry())
+            assert Calculus(Geometry()).rhom(x, y) == self.via_normal_forms(reference, x, y), (x, y)
+
+    def test_warm(self):
+        assert len({(type(x), type(y)) for x, y in ATOM_PAIRS}) == 4
+        warm, reference = Calculus(Geometry()), Calculus(Geometry())
+        values = [warm.rhom(x, y) for x, y in ATOM_PAIRS]
+        assert values == [self.via_normal_forms(reference, x, y) for x, y in ATOM_PAIRS]
+        assert [warm.rhom(x, y) for x, y in reversed(ATOM_PAIRS)] == values[::-1]
+        assert values == [self.via_normal_forms(warm, x, y) for x, y in ATOM_PAIRS]
+
+    def test_a_non_atom_still_reaches_normalize(self, monkeypatch):
+        calc = Calculus(Geometry())
+        X, Y = parse_object("L(O(),O(H))"), parse_object("O()")
+        normal = calc.normalize(X)
+        assert normal != X
+        seen = []
+        normalize = Calculus.normalize
+
+        def spying(self, x):
+            seen.append(x)
+            return normalize(self, x)
+
+        monkeypatch.setattr(Calculus, "normalize", spying)
+        assert calc.rhom(X, Y) == calc.rhom(normal, Y)
+        assert X in seen
+        seen.clear()
+        calc.rhom(LineAtom(D(0, 0, 0)), PushAtom(S(1, 0)))
+        assert seen == []
+
+
 class TestReportOpCounts:
     """The default report reuses atom values by divisor difference: without
     the atom memo it makes about 25,000 cohomology calls and 23,900 pair
-    memo entries.  Its 25,884 Euler pairings have 341 distinct left
-    classes, and the pairing keeps one covector per left class."""
+    memo entries.  Its 2,321 Euler pairings have 332 distinct left classes,
+    and the pairing keeps one covector per left class; props.euler-soundness
+    reads its oracle from one Gram table, not one pairing per pair.  rhom
+    answers two atoms without normalize, so the report makes 2,884
+    normalize calls."""
 
     def test_default_report(self, monkeypatch):
         calls = {"n": 0}
@@ -600,13 +649,20 @@ class TestReportOpCounts:
         for name in ("threefold_cohomology", "surface_cohomology"):
             monkeypatch.setattr(Geometry, name, counting(name))
         lefts = set()
-        pairing = KTheory.euler_pairing
+        pairing, normalize = KTheory.euler_pairing, Calculus.normalize
+        pairings, normalizations = [], []
 
         def recording(kt, x, y):
             lefts.add(x)
+            pairings.append(x)
             return pairing(kt, x, y)
 
+        def normalizing(calc, x):
+            normalizations.append(x)
+            return normalize(calc, x)
+
         monkeypatch.setattr(KTheory, "euler_pairing", recording)
+        monkeypatch.setattr(Calculus, "normalize", normalizing)
         ctx = Context(default_config())
         results = run_checks(ctx)
         assert all(r.status == "pass" for r in results)
@@ -614,6 +670,8 @@ class TestReportOpCounts:
         assert len(ctx.calc._rhom_memo) <= 2000
         assert len(ctx.calc._atom_memo) <= 1000
         assert len(ctx.kt._covectors) <= len(lefts) <= 400
+        assert len(pairings) <= 2321
+        assert len(normalizations) <= 2884
 
 
 class TestUndecided:

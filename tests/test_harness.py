@@ -15,13 +15,16 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import quadstab
 from quadstab import harness, stability
 from quadstab.calculus import MAX_COPIES, Calculus, PreconditionError
-from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH
+from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH, LineAtom, PushAtom
+from quadstab.geometry import DivisorClass, SurfaceDivisor
+from quadstab.lattice import KTheory
 
 from quadstab.harness import (
     CHECK_NAMES,
@@ -874,6 +877,72 @@ class TestChargesOnTheirHearts:
         assert {r.actual for r in results} == {
             "StabilityError: kernel class is not an integer combination of the simple classes"
         }
+
+
+def euler_sweep_with_one_entry_moved() -> tuple:
+    """Run props.euler-soundness with one oracle entry moved by 1 and every
+    query to Calculus.rhom recorded.  Returns the check's verdict and text,
+    the number of queries and whether they came in the sweep's order:
+    atom x atom, named x atom, atom x named, named x named.  It asserts
+    nothing, so it reports the same under ``python -O``."""
+    ctx = Context(default_config())
+    span = range(-2, 3)
+    atoms = [LineAtom(DivisorClass(a, b, c)) for a in span for b in span for c in span]
+    atoms += [PushAtom(SurfaceDivisor(d, e)) for d in span for e in span]
+    named = [ctx.obj(n) for n in ("G", "F", "Ecal")]  # built before the spy
+    order = [(x, y) for xs, ys in ((atoms, atoms), (named, atoms), (atoms, named), (named, named)) for x in xs for y in ys]
+    moved = (atoms.index(PushAtom(SurfaceDivisor(-2, -2))), atoms.index(PushAtom(SurfaceDivisor(-1, -1))))
+    queries, depth = [], [0]
+    rhom, gram_matrix = Calculus.rhom, KTheory.gram_matrix
+
+    def spying(calc, x, y):
+        # the engine's own inner queries (normalizing a mutation) are not the sweep's
+        if not depth[0]:
+            queries.append((x, y))
+        depth[0] += 1
+        try:
+            return rhom(calc, x, y)
+        finally:
+            depth[0] -= 1
+
+    def moving(kt, classes):
+        # RHom(OE(-2,-2), OE(-1,-1)) is ambiguous, so only its Euler number
+        # meets the entry and one move makes one mismatch
+        table = gram_matrix(kt, classes)
+        table[moved[0]][moved[1]] += 1
+        return table
+
+    with mock.patch.object(Calculus, "rhom", spying), mock.patch.object(KTheory, "gram_matrix", moving):
+        ok, text = harness._check_props_euler(ctx)
+    return ok, text, len(queries), queries == order
+
+
+class TestEulerSweep:
+    """props.euler-soundness queries every pair once, in a fixed order, and
+    compares each against the Gram table, so a wrong entry shows."""
+
+    RESULT = (False, "1 mismatches over 23409 pairs (23031 determined)", 23409, True)
+
+    def test_order_and_one_moved_entry(self):
+        assert euler_sweep_with_one_entry_moved() == self.RESULT
+
+    def test_under_python_O(self):
+        script = (
+            "from test_harness import euler_sweep_with_one_entry_moved\n"
+            "assert False, 'asserts must be off'\n"
+            "print(euler_sweep_with_one_entry_moved())\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(quadstab.__file__).parents[1]), str(tests)]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout == f"{self.RESULT}\n"
 
 
 class TestBenchmarkGolden:

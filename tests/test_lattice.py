@@ -433,6 +433,23 @@ class TestPairingCovector:
         assert len(warm._covectors) == len(set(classes))
 
 
+class TestGramMatrix:
+    """gram_matrix is the table of euler_pairing over the classes, one
+    covector per row, and it keeps none of those covectors."""
+
+    @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (2, 3)])
+    def test_equals_the_pairing_table(self, twist):
+        kt = KTheory(Geometry(GeometryConfig(*twist)))
+        classes = [kt.from_coordinates(c) for c in TestPairingCovector.classes(random.Random(str(twist)))]
+        kept = len(kt._covectors)
+        gram = kt.gram_matrix(classes)
+        assert len(kt._covectors) == kept
+        assert gram == [[kt.euler_pairing(x, y) for y in classes] for x in classes]
+        kept = len(kt._covectors)
+        assert kt.gram_matrix(classes[::-1]) == [row[::-1] for row in gram[::-1]]
+        assert len(kt._covectors) == kept
+
+
 class TestKernelLattice:
     def test_rank_two(self, ctx, kt):
         assert ctx.kernel_lattice().rank == 2
