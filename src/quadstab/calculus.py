@@ -408,11 +408,6 @@ class Calculus:
             return x
         if self._same_up_to_shift(x, e) is not None:
             return Zero()
-        inner = x.mutation if isinstance(x, Cone) else None
-        if isinstance(inner, MutateRightNode) and inner.e == e and self.rhom(e, inner.x).is_empty():
-            # inverse equivalence: L_e R_e y = y for y right-orthogonal to e;
-            # the stored cone is R_e y shifted by one
-            return shifted(inner.x, 1)
 
         tag = MutateLeftNode(e, x)
         g = self.geometry

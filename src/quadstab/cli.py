@@ -21,6 +21,7 @@ from .harness import (
     default_config,
     emit_report,
     run_checks,
+    split_selection,
 )
 
 
@@ -95,7 +96,7 @@ def _dispatch(args, ctx: Context) -> int:
     if args.command in ("check", "report"):
         selection = None
         if args.command == "check" and args.only is not None:
-            selection = tuple(n.strip() for n in args.only.split(",") if n.strip())
+            selection = split_selection(args.only)
         results = run_checks(ctx, selection)
         print(emit_report(results, "text", ctx.config.twist))
         if args.command == "check" and args.json_path:

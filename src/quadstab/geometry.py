@@ -6,10 +6,13 @@ classes are written in the basis H (relative O(1) of the fibration), h and k
 
     h^2 = k^2 = 0,      H^2 = -a*H*h - b*H*k,      deg(H*h*k) = 1,
 
-with all coefficients exact rationals.  The default twist (a, b) = (-1, -1)
-is the blow-up of the quadric threefold with one ordinary double point; there
-the exceptional divisor class is H - h - k and the canonical class is
--2H - h - k.
+with all coefficients exact rationals.  A Chow element (ChowElement) is one
+row of eight coefficients in the basis 1; H, h, k; Hh, Hk, hk; pt, the row
+that six_chern_character returns, in integers, for 6 ch(O(D)).
+
+The default twist (a, b) = (-1, -1) is the blow-up of the quadric threefold
+with one ordinary double point; there the exceptional divisor class is
+H - h - k and the canonical class is -2H - h - k.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 Q = Fraction
 
@@ -81,76 +84,53 @@ class SurfaceDivisor:
         return f"({self.d},{self.e})"
 
 
-@dataclass(frozen=True)
-class ChowElement:
-    """Graded class c0 + c1 + c2 + c3 with the ring relations already applied.
+class ChowElement(tuple):
+    """A Chow class with the ring relations already applied, as its eight
+    exact coefficients in the order c0; H, h, k; Hh, Hk, hk; pt.
 
-    c1 is (H, h, k) coefficients, c2 is (H*h, H*k, h*k) coefficients and c3 is
-    the coefficient of the point class H*h*k.  The representation is unique.
+    This is the order of Geometry.six_chern_character, and the representation
+    is unique.  Arithmetic is entrywise; c0, c1, c2 and c3 read the graded
+    parts, c1 and c2 as tuples of three coefficients.
     """
 
-    c0: Q = Q(0)
-    c1: tuple[Q, Q, Q] = (Q(0), Q(0), Q(0))
-    c2: tuple[Q, Q, Q] = (Q(0), Q(0), Q(0))
-    c3: Q = Q(0)
+    __slots__ = ()
+
+    c0 = property(operator.itemgetter(0))
+    c1 = property(operator.itemgetter(slice(1, 4)))
+    c2 = property(operator.itemgetter(slice(4, 7)))
+    c3 = property(operator.itemgetter(7))
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
-        return ChowElement(
-            self.c0 + other.c0,
-            tuple(x + y for x, y in zip(self.c1, other.c1)),
-            tuple(x + y for x, y in zip(self.c2, other.c2)),
-            self.c3 + other.c3,
-        )
+        return ChowElement(map(operator.add, self, other))
 
     def __sub__(self, other: "ChowElement") -> "ChowElement":
-        return self + (-other)
+        return ChowElement(map(operator.sub, self, other))
 
     def __neg__(self) -> "ChowElement":
-        return self.scale(-1)
+        return ChowElement(-x for x in self)
 
     def scale(self, t) -> "ChowElement":
         t = Q(t)
-        return ChowElement(
-            self.c0 * t,
-            tuple(x * t for x in self.c1),
-            tuple(x * t for x in self.c2),
-            self.c3 * t,
-        )
+        return ChowElement(x * t for x in self)
 
     def dual(self) -> "ChowElement":
         """Negate the odd-degree parts (the Chern-character dual)."""
-        return ChowElement(self.c0, tuple(-x for x in self.c1), self.c2, -self.c3)
+        c0, H, h, k, Hh, Hk, hk, pt = self
+        return ChowElement((c0, -H, -h, -k, Hh, Hk, hk, -pt))
 
     def is_zero(self) -> bool:
-        return (
-            self.c0 == 0
-            and all(x == 0 for x in self.c1)
-            and all(x == 0 for x in self.c2)
-            and self.c3 == 0
-        )
-
-    def as_tuple(self) -> tuple[Q, ...]:
-        return (self.c0, *self.c1, *self.c2, self.c3)
+        return not any(self)
 
     @staticmethod
     def constant(t) -> "ChowElement":
-        return ChowElement(c0=Q(t))
+        return ChowElement((Q(t),) + (Q(0),) * 7)
 
     @staticmethod
     def of_divisor(D: DivisorClass) -> "ChowElement":
-        return ChowElement(c1=(Q(D.nH), Q(D.nh), Q(D.nk)))
-
-    @staticmethod
-    def of_sixths(v: Iterable[int]) -> "ChowElement":
-        """The element whose as_tuple() is the eight integers v divided by 6."""
-        c0, cH, ch, ck, cHh, cHk, chk, c3 = (Q(x, 6) for x in v)
-        return ChowElement(c0, (cH, ch, ck), (cHh, cHk, chk), c3)
+        return ChowElement((Q(0), Q(D.nH), Q(D.nh), Q(D.nk)) + (Q(0),) * 4)
 
     def __str__(self) -> str:
-        return (
-            f"{self.c0} + ({self.c1[0]})H+({self.c1[1]})h+({self.c1[2]})k"
-            f" + ({self.c2[0]})Hh+({self.c2[1]})Hk+({self.c2[2]})hk + ({self.c3})pt"
-        )
+        return "{} + ({})H+({})h+({})k + ({})Hh+({})Hk+({})hk + ({})pt".format(*self)
 
 
 ONE = ChowElement.constant(1)
@@ -312,7 +292,6 @@ class Geometry:
 
     def __init__(self, config: GeometryConfig = GeometryConfig()):
         self.config = config
-        self._chern_cache: dict[DivisorClass, ChowElement] = {}
         self._todd: Optional[ChowElement] = None
         # c1, the curve class 2(c1^2 + c2) and the number c1 c2, all integral
         self._rr: Optional[tuple[tuple, tuple, int]] = None
@@ -345,27 +324,14 @@ class Geometry:
         return uH * (-b * vHh - a * vHk + vhk) + uh * vHk + uk * vHh
 
     def chow_mul(self, x: ChowElement, y: ChowElement) -> ChowElement:
-        xH, xh, xk = x.c1
-        yH, yh, yk = y.c1
-        dHh, dHk, dhk = self._curve_product(x.c1, y.c1)
-        c0 = x.c0 * y.c0
-        c1 = (
-            x.c0 * yH + xH * y.c0,
-            x.c0 * yh + xh * y.c0,
-            x.c0 * yk + xk * y.c0,
-        )
-        c2 = (
-            x.c0 * y.c2[0] + x.c2[0] * y.c0 + dHh,
-            x.c0 * y.c2[1] + x.c2[1] * y.c0 + dHk,
-            x.c0 * y.c2[2] + x.c2[2] * y.c0 + dhk,
-        )
-        c3 = (
-            x.c0 * y.c3
-            + x.c3 * y.c0
-            + self._point_product(x.c1, y.c2)
-            + self._point_product(y.c1, x.c2)
-        )
-        return ChowElement(c0, c1, c2, c3)
+        x0, x1, x2, x3 = x.c0, x.c1, x.c2, x.c3
+        y0, y1, y2, y3 = y.c0, y.c1, y.c2, y.c3
+        return ChowElement((
+            x0 * y0,
+            *(x0 * v + u * y0 for u, v in zip(x1, y1)),
+            *(x0 * v + u * y0 + w for u, v, w in zip(x2, y2, self._curve_product(x1, y1))),
+            x0 * y3 + x3 * y0 + self._point_product(x1, y2) + self._point_product(y1, x2),
+        ))
 
     def degree(self, x: ChowElement) -> Q:
         return x.c3
@@ -387,18 +353,14 @@ class Geometry:
     # -- characteristic classes ----------------------------------------------
 
     def six_chern_character(self, D: DivisorClass) -> tuple[int, ...]:
-        """6 ch(O(D)) = (6, 6D, 3D^2, D^3) as eight integers, in as_tuple order."""
+        """6 ch(O(D)) = (6, 6D, 3D^2, D^3) as eight integers, in ChowElement order."""
         d = (D.nH, D.nh, D.nk)
         d2 = self._curve_product(d, d)
         return (6, 6 * D.nH, 6 * D.nh, 6 * D.nk, 3 * d2[0], 3 * d2[1], 3 * d2[2],
                 self._point_product(d, d2))
 
     def chern_character(self, D: DivisorClass) -> ChowElement:
-        cached = self._chern_cache.get(D)
-        if cached is not None:
-            return cached
-        out = self._chern_cache[D] = ChowElement.of_sixths(self.six_chern_character(D))
-        return out
+        return ChowElement(Q(v, 6) for v in self.six_chern_character(D))
 
     def chern_classes(self) -> tuple[ChowElement, ChowElement]:
         """First and second Chern classes of the tangent bundle, with int entries."""
@@ -407,10 +369,10 @@ class Geometry:
         # total Chern class of the tangent bundle: (1 + t1)(1 + 2h)(1 + 2k)
         # with t1 = 2H + a*h + b*k
         total = self.chow_mul(
-            self.chow_mul(ChowElement(1, (2, a, b), z, 0), ChowElement(1, (0, 2, 0), z, 0)),
-            ChowElement(1, (0, 0, 2), z, 0),
+            self.chow_mul(ChowElement((1, 2, a, b, *z, 0)), ChowElement((1, 0, 2, 0, *z, 0))),
+            ChowElement((1, 0, 0, 2, *z, 0)),
         )
-        return ChowElement(0, total.c1, z, 0), ChowElement(0, z, total.c2, 0)
+        return ChowElement((0, *total.c1, *z, 0)), ChowElement((0, *z, *total.c2, 0))
 
     def todd_class(self) -> ChowElement:
         if self._todd is not None:

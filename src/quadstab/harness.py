@@ -145,8 +145,13 @@ class HarnessConfig:
             cfg.charges[name] = (parts[0], values)
         only = sections.get("checks", {}).get("only")
         if only is not None:
-            cfg.selection = tuple(n.strip() for n in only.split(",") if n.strip())
+            cfg.selection = split_selection(only)
         return cfg
+
+
+def split_selection(text: str) -> tuple[str, ...]:
+    """The check names of a comma-separated selection, blanks dropped."""
+    return tuple(n.strip() for n in text.split(",") if n.strip())
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -441,8 +446,15 @@ class Context:
         return lattice_from(self.kt, self.kernel_classes())
 
     def kernel_quotient(self) -> LatticeQuotient:
-        """The rank-3 lattice of the triple over the pushforward kernel."""
-        return quotient(self.dprime_lattice(), self.kernel_lattice())
+        """The rank-3 lattice of the triple over the pushforward kernel.
+
+        Raises PreconditionError when the configured objects put the kernel
+        outside the triple's lattice, so that there is no such quotient.
+        """
+        try:
+            return quotient(self.dprime_lattice(), self.kernel_lattice())
+        except LatticeError as exc:
+            raise PreconditionError(f"kernel quotient: {exc}") from None
 
     def descent(self) -> DescentReport:
         """The descent of the charge Z_up and the heart its config line names."""
@@ -827,7 +839,7 @@ def _check_props_involution(ctx: Context) -> tuple[bool, str]:
 def _random_expression(rng: random.Random, depth: int) -> str:
     def atom() -> str:
         if rng.random() < 0.5:
-            return f"O({_random_divisor(rng)})"
+            return _random_line(rng)
         return f"OE({rng.randint(-2, 2)},{rng.randint(-2, 2)})"
 
     if depth == 0:
@@ -844,20 +856,16 @@ def _random_expression(rng: random.Random, depth: int) -> str:
     if roll < 0.85:
         return f"cone({_random_expression(rng, depth - 1)},{_random_expression(rng, depth - 1)})"
     mutator = "L" if rng.random() < 0.5 else "R"
-    e = f"O({_random_divisor(rng)})"
+    e = _random_line(rng)
     x = atom() if rng.random() < 0.6 else f"shift({atom()},{rng.randint(-1, 1)})"
     if mutator == "L":
         return f"L({e},{x})"
     return f"R({x},{e})"
 
 
-def _random_divisor(rng: random.Random) -> str:
-    parts = []
-    for sym in "Hhk":
-        c = rng.randint(-2, 2)
-        if c:
-            parts.append(f"{'+' if c > 0 and parts else ''}{c if abs(c) != 1 else ('-' if c < 0 else '')}{sym}")
-    return "".join(parts)
+def _random_line(rng: random.Random) -> str:
+    """O(D) for D with H, h and k coefficients drawn in that order from [-2, 2]."""
+    return pretty(LineAtom(DivisorClass(*(rng.randint(-2, 2) for _ in range(3)))))
 
 
 def _corpus(count: int = 100) -> list[str]:

@@ -10,7 +10,9 @@ the one integer Hirzebruch-Riemann-Roch of the program (it also feeds the
 props.hrr-vs-cohomology check).  The covector x^T G of each left argument is
 computed once and kept, so a pairing is one dot product of eight integers.
 The rational pairing Geometry.hrr_euler on Chern characters is only the test
-oracle these are checked against.
+oracle these are checked against.  The Chern character of a class (chern)
+and the basis determinant are computed from the integer rows 6 ch(O(D)) of
+the basis line bundles, and divided by 6, or by 6^8, once at the end.
 Sublattices are kept in Hermite normal form, integer systems are solved
 against it (integer_solution), and quotients are computed by a Smith normal
 form built from alternating row and column Hermite forms.  The determinant
@@ -420,11 +422,10 @@ class KTheory:
         return [self.line_class(D) for D in SOD1_DIVISORS]
 
     def basis_determinant(self) -> Q:
-        """Determinant of the Chern characters of the basis line bundles."""
+        """Determinant of the Chern characters of the basis line bundles: that
+        of their integer rows 6 ch(O(D)), divided by 6^8."""
         g = self.geometry
-        return rational_determinant(
-            [list(g.chern_character(D).as_tuple()) for D in SOD1_DIVISORS]
-        )
+        return rational_determinant([g.six_chern_character(D) for D in SOD1_DIVISORS]) / 6 ** 8
 
     def coordinates(self, x: KClass) -> tuple[int, ...]:
         """Coordinates of the class in the fixed line-bundle basis."""
@@ -450,7 +451,7 @@ class KTheory:
         once, at the end.
         """
         rows = [self.geometry.six_chern_character(D) for D in SOD1_DIVISORS]
-        return ChowElement.of_sixths(sum(map(operator.mul, x, column)) for column in zip(*rows))
+        return ChowElement(Q(sum(map(operator.mul, x, column)), 6) for column in zip(*rows))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def chern_character(g: Geometry, D: DivisorClass) -> ChowElement:
 def class_chern_character(basis: Sequence[ChowElement], x: KClass) -> ChowElement:
     """sum_i x_i ch(O(D_i)), one Chow sum per term, given the Chern
     characters of the line-bundle basis SOD1_DIVISORS in order."""
-    total = ChowElement()
+    total = ChowElement.constant(0)
     for c, ch in zip(x, basis):
         total = total + ch.scale(c)
     return total

@@ -105,7 +105,7 @@ class TestChernCharacterAndTodd:
         assert ch.c0 == 1
         assert ch.c1 == (Fraction(1), Fraction(0), Fraction(0))
         # ch_3 = H^3/6 = 2/6
-        assert geom.degree(ChowElement(c3=ch.c3)) == Fraction(1, 3)
+        assert geom.degree(ch) == Fraction(1, 3)
 
     def test_todd_degree_is_euler_characteristic(self):
         for twist in [(-1, -1), (0, 0), (-2, 0), (1, 2)]:

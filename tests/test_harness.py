@@ -667,6 +667,54 @@ class TestMissingNames:
             run_checks(HarnessConfig.from_text("[geometry]\ntwist = -1,-1\n"), ("tilt.simples",))
 
 
+class TestKernelOutsideTheTriple:
+    """Objects that put [Ecal] and [G]+[F] outside the span of O(-h), G, F:
+    there is no kernel quotient, and no command ends in a traceback."""
+
+    CONFIG = "[objects]\nG = O()\nF = O(h)\nEcal = O(H)\n"
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "outside.cfg"
+        path.write_text(self.CONFIG, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "h"],
+            ["rhom", "G", "F"],
+            ["mutate", "L", "G", "F"],
+            ["class", "Ecal"],
+            ["gram", "TRIPLE"],
+            ["kernel"],
+            ["check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_traceback(self, argv, config):
+        env = dict(os.environ, PYTHONPATH=str(Path(quadstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadstab", "--config", config, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
+
+    def test_kernel_exits_1_with_one_error_line(self, config, capsys):
+        assert main(["--config", config, "kernel"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: kernel quotient: kernel is not contained in the source lattice\n"
+
+    def test_quotient_check_is_ambiguous(self, config, capsys):
+        assert main(["--config", config, "check", "--only", "kernel.quotient-Z"]) == 1
+        assert "actual: PreconditionError: kernel quotient: " in capsys.readouterr().out
+
+
 class TestNameLimits:
     @pytest.mark.parametrize("command", [["rhom", "O()", "O(h)"], ["check"]], ids=["rhom", "check"])
     @pytest.mark.parametrize("case", sorted(NAME_CONFIGS))

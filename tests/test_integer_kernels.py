@@ -27,8 +27,8 @@ def test_chern_character_matches_the_fraction_formula(twist):
         got, want = g.chern_character(dd), oracles.chern_character(g, dd)
         assert got == want
         assert str(got) == str(want)
-        assert all(type(v) is Fraction for v in got.as_tuple())
-        assert g.six_chern_character(dd) == tuple(6 * v for v in want.as_tuple())
+        assert all(type(v) is Fraction for v in got)
+        assert g.six_chern_character(dd) == tuple(6 * v for v in want)
         assert all(type(v) is int for v in g.six_chern_character(dd))
 
 
@@ -45,7 +45,7 @@ def test_class_chern_matches_the_fraction_sum(twist):
         got, want = kt.chern(x), oracles.class_chern_character(basis, x)
         assert got == want
         assert str(got) == str(want)
-        assert all(type(v) is Fraction for v in got.as_tuple())
+        assert all(type(v) is Fraction for v in got)
 
 
 @pytest.mark.parametrize("twist", TWISTS)

@@ -512,14 +512,20 @@ class TestAgainstChernCharacterOracle:
         kt = KTheory(g)
         # ch(O(D)) = sum_i c_i ch(O(D_i)), solved with the inverse of the
         # transposed basis matrix
-        basis = [g.chern_character(Di).as_tuple() for Di in SOD1_DIVISORS]
+        basis = [g.chern_character(Di) for Di in SOD1_DIVISORS]
         inverse = rational_inverse([list(col) for col in zip(*basis)])
         for n in range(-3, 4):
             for p in range(-3, 4):
                 for q in range(-3, 4):
-                    ch = g.chern_character(D(n, p, q)).as_tuple()
+                    ch = g.chern_character(D(n, p, q))
                     coords = tuple(sum(r * v for r, v in zip(row, ch)) for row in inverse)
                     assert kt.coordinates(kt.line_class(D(n, p, q))) == coords
+
+    @pytest.mark.parametrize("twist", TWISTS + [(-2, 0)])
+    def test_basis_determinant_matches_the_rational_rows(self, twist):
+        g = Geometry(GeometryConfig(*twist))
+        rows = [list(g.chern_character(Di)) for Di in SOD1_DIVISORS]
+        assert KTheory(g).basis_determinant() == rational_determinant(rows) == -1
 
     @pytest.mark.parametrize("twist", TWISTS)
     def test_gram_matches_hrr(self, twist):
