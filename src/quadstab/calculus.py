@@ -58,8 +58,7 @@ bound above an upper one) raises SoundnessError, also under python -O.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import DivisorClass, Geometry, GradedDims, SurfaceDivisor
 from .lattice import SOD1_DIVISORS, KClass, KTheory
@@ -113,8 +112,7 @@ def _shown(x: FormalObject) -> str:
     return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
 
 
-@dataclass(frozen=True, slots=True)
-class RHomResult:
+class RHomResult(NamedTuple):
     """Graded Hom value: degreewise lower and upper bounds and the Euler number.
 
     `hi` is None when no upper bound is known.  The value is determined when
@@ -825,23 +823,20 @@ class Calculus:
         )
 
 
-@dataclass(frozen=True)
-class SemiorthReport:
+class SemiorthReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[int, int, str], ...]
     ambiguous: tuple[tuple[int, int, str], ...]
 
 
-@dataclass(frozen=True)
-class ExtExceptionalReport:
+class ExtExceptionalReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[int, int, int], ...]  # (i, j, degree)
     not_exceptional: tuple[int, ...]
     ambiguous: tuple[tuple[int, int, str], ...]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ok: bool
     class_ok: bool
     mismatches: tuple[str, ...]

@@ -18,9 +18,8 @@ H - h - k and the canonical class is -2H - h - k.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 Q = Fraction
 
@@ -29,16 +28,14 @@ class GeometryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
+class GeometryConfig(NamedTuple):
     """Twist (a, b) of the bundle O + O(a, b) defining the threefold."""
 
     a: int = -1
     b: int = -1
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """Integer divisor class nH*H + nh*h + nk*k on the threefold."""
 
     nH: int = 0
@@ -64,8 +61,7 @@ class DivisorClass:
         return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SurfaceDivisor:
+class SurfaceDivisor(NamedTuple):
     """Divisor class of O_E(d, e) on the quadric surface E."""
 
     d: int = 0

@@ -23,9 +23,9 @@ not define raises ConfigError, which run_checks lets through.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import (
     DivisorClass,
@@ -106,12 +106,11 @@ SECTIONS: dict[str, Optional[tuple[str, ...]]] = {
 }
 
 
-@dataclass
-class HarnessConfig:
-    twist: tuple[int, int] = DEFAULT_TWIST
-    objects: dict[str, str] = field(default_factory=dict)
-    hearts: dict[str, str] = field(default_factory=dict)
-    charges: dict[str, tuple[str, tuple[tuple[Q, Q], ...]]] = field(default_factory=dict)
+class HarnessConfig(NamedTuple):
+    twist: tuple[int, int]
+    objects: dict[str, str]
+    hearts: dict[str, str]
+    charges: dict[str, tuple[str, tuple[tuple[Q, Q], ...]]]
     selection: Optional[tuple[str, ...]] = None
 
     @staticmethod
@@ -127,26 +126,29 @@ class HarnessConfig:
             for key in keys:
                 if allowed is not None and key not in allowed:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-        cfg = HarnessConfig()
+        twist = DEFAULT_TWIST
         raw = sections.get("geometry", {}).get("twist")
         if raw is not None:
             try:
                 a, b = (int(t.strip()) for t in raw.split(","))
             except ValueError as exc:
                 raise ConfigError(f"bad twist {raw!r}") from exc
-            cfg.twist = (a, b)
-        cfg.objects = {name: expr.strip() for name, expr in sections.get("objects", {}).items()}
-        cfg.hearts = {name: defn.strip() for name, defn in sections.get("hearts", {}).items()}
+            twist = (a, b)
+        charges = {}
         for name, defn in sections.get("charges", {}).items():
             parts = [p.strip() for p in defn.split(";")]
             if len(parts) < 2:
                 raise ConfigError(f"charge {name!r} needs a heart and values")
             values = tuple(_parse_complex_pair(p, name) for p in parts[1:])
-            cfg.charges[name] = (parts[0], values)
+            charges[name] = (parts[0], values)
         only = sections.get("checks", {}).get("only")
-        if only is not None:
-            cfg.selection = split_selection(only)
-        return cfg
+        return HarnessConfig(
+            twist,
+            {name: expr.strip() for name, expr in sections.get("objects", {}).items()},
+            {name: defn.strip() for name, defn in sections.get("hearts", {}).items()},
+            charges,
+            None if only is None else split_selection(only),
+        )
 
 
 def split_selection(text: str) -> tuple[str, ...]:
@@ -236,8 +238,7 @@ def default_config() -> HarnessConfig:
     return HarnessConfig.from_text(DEFAULT_CONFIG_TEXT)
 
 
-@dataclass(frozen=True)
-class TiltSpec:
+class TiltSpec(NamedTuple):
     """A heart given as the tilt of an earlier heart at one of its simples."""
 
     parent: str
@@ -247,8 +248,7 @@ class TiltSpec:
 HeartSpec = Union[tuple[tuple[str, FormalObject], ...], TiltSpec]
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
+class ResolvedConfig(NamedTuple):
     """A configuration after its one parsing and checking pass.
 
     ``names`` holds the parsed object trees (not normalized), a heart is its
@@ -469,8 +469,7 @@ class Context:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # 'pass' | 'fail' | 'ambiguous' | 'skipped'
     expected: str
@@ -479,7 +478,7 @@ class CheckResult:
     tag: str  # 'pinned' | 'derived'
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -669,7 +668,7 @@ def _check_kernel_relation(ctx: Context) -> tuple[bool, str]:
     for cls in ctx.kernel_classes():
         coords = integer_solution(triple, kt.coordinates(cls))
         if coords is None:
-            raise LatticeError("class is not integral over the given basis")
+            raise PreconditionError("kernel relation: a kernel class is not integral over the triple")
         kernel3.append(coords)
     member = IntegerLattice(3, kernel3).member([1, -1, 0])
     ok = relation and member

@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import ChowElement, DivisorClass, Geometry, SurfaceDivisor, Q
 
@@ -519,8 +518,7 @@ class IntegerLattice:
         return f"lattice(rank {self.rank} in Z^{self.ambient_rank}: {rows})"
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(NamedTuple):
     """Quotient of a lattice by a sublattice, via Smith normal form."""
 
     source: IntegerLattice

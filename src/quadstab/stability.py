@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import GradedDims, Q
 from .lattice import (
@@ -143,8 +143,7 @@ def slope(Z: CentralCharge, v: Sequence[int]) -> Slope:
     return -re / im
 
 
-@dataclass(frozen=True)
-class StabilityFunctionReport:
+class StabilityFunctionReport(NamedTuple):
     ok: bool  # Z is a weak stability function
     failures: tuple[str, ...]
     kernel_directions: tuple[int, ...]
@@ -269,8 +268,7 @@ def _charge_kernel(Z_rows: Sequence[tuple[Q, Q]]) -> list[list[int]]:
     return integer_kernel(matrix)
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     ok: bool
     kernel_rank: int
 
@@ -290,14 +288,12 @@ def check_support(Z: CentralCharge) -> SupportReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     """Three verdicts and the data they were decided on: the quotient of Z^n
     (simple coordinates) by the kernel lattice, the charge induced on its
     free generators, and that charge's support report for the zero form."""
@@ -427,8 +423,7 @@ def descend(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     stability_function: StabilityFunctionReport
     support: SupportReport

@@ -714,6 +714,12 @@ class TestKernelOutsideTheTriple:
         assert main(["--config", config, "check", "--only", "kernel.quotient-Z"]) == 1
         assert "actual: PreconditionError: kernel quotient: " in capsys.readouterr().out
 
+    def test_relation_check_is_ambiguous(self, config, capsys):
+        assert main(["--config", config, "check", "--only", "kernel.relation-E-F-Oh"]) == 1
+        out = capsys.readouterr().out
+        assert "[AMBIGUOUS] kernel.relation-E-F-Oh" in out
+        assert "actual: PreconditionError: kernel relation: " in out
+
 
 class TestNameLimits:
     @pytest.mark.parametrize("command", [["rhom", "O()", "O(h)"], ["check"]], ids=["rhom", "check"])

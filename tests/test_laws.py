@@ -11,7 +11,12 @@ it is not a restatement of a rule; it may decide fewer values, and where
 both routes decide one they must agree.  Serre duality is not checked here:
 the calculus itself transports along it.
 
-Both laws run on the benchmark's recorded pool of 1,000 pairs and on all
+Every rule is consulted: the engine stops merging candidates once the value
+is determined, so a later rule's bound is never compared with it.  An engine
+that merges every candidate must raise no SoundnessError and give the same
+value for every pair.
+
+The laws run on the benchmark's recorded pool of 1,000 pairs and on all
 pairs of the distinct normal forms of the harness corpus.
 """
 
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from quadstab.calculus import CopyLimitError, PreconditionError
+from quadstab.calculus import Calculus, CopyLimitError, PreconditionError, SoundnessError
 from quadstab.expressions import Cone, LineAtom, PushAtom, Shift, Sum, Zero, parse_object
 from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.harness import Context, _corpus, default_config
@@ -155,3 +160,29 @@ def test_corpus_ambiguity_does_not_rise(corpus):
     assert len(pairs) == 88 * 88
     # 2,403 of the 7,744 pairs were ambiguous when this count was pinned
     assert sum(not v.determined for v in values) <= 2403
+
+
+class ExhaustiveCalculus(Calculus):
+    """Merges every candidate the rules yield for a pair, determined or not,
+    so that merge compares each later bound with the value found first."""
+
+    def _core_info(self, X, Y, transport):
+        euler = self._euler(X, Y)
+        best = None
+        for candidate in self._candidates(X, Y, transport, euler):
+            if candidate.euler != euler:
+                raise SoundnessError(f"Euler mismatch: {candidate.euler} vs {euler}")
+            best = candidate if best is None else best.merge(candidate)
+        return best
+
+
+@pytest.mark.parametrize("pairs_of", ["pool", "corpus"])
+def test_every_rule_agrees_with_the_first_determined(pairs_of, request):
+    calc, pairs, values = request.getfixturevalue(pairs_of)
+    exhaustive = ExhaustiveCalculus(calc.geometry)
+    moved = [
+        (x, y, str(value), str(other))
+        for (x, y), value, other in zip(pairs, values, _values(exhaustive, pairs))
+        if other != value
+    ]
+    assert moved == []
