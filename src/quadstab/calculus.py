@@ -609,16 +609,21 @@ class Calculus:
         and k coefficients.  The divisor objects are built only on a miss.
         """
         if isinstance(X, LineAtom):
-            D = X.divisor
+            xH, xh, xk = X.divisor
             if isinstance(Y, LineAtom):
-                F = Y.divisor
-                key = ("line-line", F.nH - D.nH, F.nh - D.nh, F.nk - D.nk)
+                yH, yh, yk = Y.divisor
+                key = ("line-line", yH - xH, yh - xh, yk - xk)
             else:
-                key = ("line-push", Y.beta.d - D.nh, Y.beta.e - D.nk)
+                yd, ye = Y.beta
+                key = ("line-push", yd - xh, ye - xk)
         elif isinstance(Y, LineAtom):
-            key = ("push-line", X.beta.d - Y.divisor.nh, X.beta.e - Y.divisor.nk)
+            xd, xe = X.beta
+            _, yh, yk = Y.divisor
+            key = ("push-line", xd - yh, xe - yk)
         else:
-            key = ("push-push", Y.beta.d - X.beta.d, Y.beta.e - X.beta.e)
+            xd, xe = X.beta
+            yd, ye = Y.beta
+            key = ("push-push", yd - xd, ye - xe)
         info = self._atom_memo.get(key)
         if info is None:
             info = self._atom_memo[key] = self._atom_value(*key)

@@ -17,15 +17,17 @@ limits: a tree nested deeper than MAX_DEPTH or holding more than MAX_NODES
 nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
 in absolute value, are rejected with a ParseError.
 
-Nodes are frozen, slotted dataclasses.  Each node computes its hash once, on
-first use, from its class name and fields, and keeps it in the shared `_hash`
-slot, so hashing a tree (as every memo lookup of the calculus does) is O(1)
-after the first time, not a walk over the whole tree.
+Nodes are immutable slotted classes with hand-written __init__ and __eq__
+methods (no generated code, so importing this module stays cheap): a node
+equals only a node of its own class with equal fields, and its repr is the
+dataclass text.  Each node computes its hash once, on first use, from its
+class name and fields, and keeps it in the shared `_hash` slot, so hashing a
+tree (as every memo lookup of the calculus does) is O(1) after the first
+time, not a walk over the whole tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import DivisorClass, SurfaceDivisor
@@ -43,8 +45,40 @@ class ParseError(Exception):
         self.position = position
 
 
-class _Node:
-    """Slotted base whose hash is computed on first use and then kept."""
+_set = object.__setattr__
+
+
+class Frozen:
+    """Slotted base of immutable values.  The fields of a value are the
+    __slots__ of its class, each set once by its __init__; repr prints them
+    as a dataclass would."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the value through __init__, which takes
+        # the fields in slot order; the default sets each slot through
+        # __setattr__, which refuses
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class _Node(Frozen):
+    """Slotted base whose hash is computed on first use and then kept.
+
+    Each node class defines a field-tuple __eq__ that is equal only within
+    the class, and so must name this __hash__ again: a class that defines
+    __eq__ alone is unhashable.
+    """
 
     __slots__ = ("_hash",)
 
@@ -52,20 +86,9 @@ class _Node:
         try:
             return self._hash
         except AttributeError:
-            # the __slots__ of a slotted dataclass below _Node are its fields
             h = hash((type(self).__name__, *(getattr(self, f) for f in self.__slots__)))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
-
-
-def _node(cls):
-    """Frozen slotted dataclass that keeps the cached hash of _Node.
-
-    The dataclass decorator would replace an inherited __hash__ with a field
-    hash; a __hash__ set on the class itself is kept.
-    """
-    cls.__hash__ = _Node.__hash__
-    return dataclass(frozen=True, slots=True)(cls)
 
 
 class FormalObject(_Node):
@@ -74,65 +97,137 @@ class FormalObject(_Node):
     __slots__ = ()
 
 
-@_node
 class Zero(FormalObject):
-    pass
+    __slots__ = ()
+    __hash__ = _Node.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
 
-@_node
 class LineAtom(FormalObject):
     """Line bundle O(D) on the threefold."""
 
-    divisor: DivisorClass
+    __slots__ = ("divisor",)
+    __hash__ = _Node.__hash__
+
+    def __init__(self, divisor: DivisorClass):
+        _set(self, "divisor", divisor)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.divisor,) == (other.divisor,)
+        return NotImplemented
 
 
-@_node
 class PushAtom(FormalObject):
     """Sheaf O_E(d, e) on the embedded quadric surface."""
 
-    beta: SurfaceDivisor
+    __slots__ = ("beta",)
+    __hash__ = _Node.__hash__
+
+    def __init__(self, beta: SurfaceDivisor):
+        _set(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.beta,) == (other.beta,)
+        return NotImplemented
 
 
-@_node
 class Shift(FormalObject):
-    child: FormalObject
-    n: int
+    __slots__ = ("child", "n")
+    __hash__ = _Node.__hash__
+
+    def __init__(self, child: FormalObject, n: int):
+        _set(self, "child", child)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child, self.n) == (other.child, other.n)
+        return NotImplemented
 
 
-@_node
 class Sum(FormalObject):
-    children: tuple[FormalObject, ...]
+    __slots__ = ("children",)
+    __hash__ = _Node.__hash__
+
+    def __init__(self, children: tuple[FormalObject, ...]):
+        _set(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.children,) == (other.children,)
+        return NotImplemented
 
 
-@_node
 class MutateLeftNode(FormalObject):
     """Left mutation L(e, x).  In a tree it is unevaluated and removed by
     normalization; as the `mutation` of a cone it records, with normal-form
     children, the mutation that cone evaluates."""
 
-    e: FormalObject
-    x: FormalObject
+    __slots__ = ("e", "x")
+    __hash__ = _Node.__hash__
+
+    def __init__(self, e: FormalObject, x: FormalObject):
+        _set(self, "e", e)
+        _set(self, "x", x)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e, self.x) == (other.e, other.x)
+        return NotImplemented
 
 
-@_node
 class MutateRightNode(FormalObject):
     """Right mutation R(x, e); unevaluated in a tree, and the record of a
     cone that evaluates it, as for MutateLeftNode."""
 
-    x: FormalObject
-    e: FormalObject
+    __slots__ = ("x", "e")
+    __hash__ = _Node.__hash__
+
+    def __init__(self, x: FormalObject, e: FormalObject):
+        _set(self, "x", x)
+        _set(self, "e", e)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.e) == (other.x, other.e)
+        return NotImplemented
 
 
-@_node
 class Cone(FormalObject):
     """Third vertex of the triangle source -> target -> cone -> source[1].
 
     `mutation` is the L or R node the cone evaluates, if it is one."""
 
-    source: FormalObject
-    target: FormalObject
-    provenance: str = "unspecified"
-    mutation: Optional[MutateLeftNode | MutateRightNode] = None
+    __slots__ = ("source", "target", "provenance", "mutation")
+    __hash__ = _Node.__hash__
+
+    def __init__(
+        self,
+        source: FormalObject,
+        target: FormalObject,
+        provenance: str = "unspecified",
+        mutation: Optional[MutateLeftNode | MutateRightNode] = None,
+    ):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "provenance", provenance)
+        _set(self, "mutation", mutation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.provenance, self.mutation) == (
+                other.source,
+                other.target,
+                other.provenance,
+                other.mutation,
+            )
+        return NotImplemented
 
 
 # The words that take two objects, each with the class whose first two

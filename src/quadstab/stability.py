@@ -14,7 +14,6 @@ form, where it says that the charge is injective: ker Z = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import NamedTuple, Optional, Sequence, Union
@@ -29,7 +28,7 @@ from .lattice import (
     quotient as lattice_quotient,
 )
 from .calculus import Calculus, PreconditionError, SoundnessError
-from .expressions import Cone, FormalObject, shifted
+from .expressions import Cone, FormalObject, Frozen, shifted
 
 
 @total_ordering
@@ -53,24 +52,55 @@ class StabilityError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Heart:
+class Heart(Frozen):
     """Heart of a bounded t-structure presented by simples."""
 
-    labels: tuple[str, ...]
-    simples: tuple[FormalObject, ...]
-    classes: tuple[KClass, ...]
-    hom_table: tuple[tuple[GradedDims, ...], ...]
+    __slots__ = ("labels", "simples", "classes", "hom_table")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        simples: tuple[FormalObject, ...],
+        classes: tuple[KClass, ...],
+        hom_table: tuple[tuple[GradedDims, ...], ...],
+    ):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "simples", simples)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "hom_table", hom_table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.labels, self.simples, self.classes, self.hom_table) == (
+                other.labels,
+                other.simples,
+                other.classes,
+                other.hom_table,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.simples, self.classes, self.hom_table))
 
     def __len__(self) -> int:
         return len(self.simples)
 
 
-@dataclass(frozen=True)
-class CentralCharge:
+class CentralCharge(Frozen):
     """Complex charge values, one per simple, with exact rational parts."""
 
-    values: tuple[tuple[Q, Q], ...]  # (re, im) per simple
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[tuple[Q, Q], ...]):  # (re, im) per simple
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values,) == (other.values,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @staticmethod
     def of(pairs: Sequence[tuple]) -> "CentralCharge":

@@ -14,7 +14,8 @@ from quadstab.geometry import (
     SurfaceDivisor,
 )
 from quadstab.expressions import LineAtom, PushAtom, Shift, parse_object, pretty
-from quadstab.harness import _corpus, run_checks, default_config
+from quadstab.checks import _corpus
+from quadstab.harness import run_checks, default_config
 from quadstab.lattice import IntegerLattice, quotient, solve_rational
 from quadstab.stability import (
     check_stability_function,

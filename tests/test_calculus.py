@@ -35,7 +35,8 @@ from quadstab.calculus import (
     SoundnessError,
 )
 from quadstab import harness
-from quadstab.harness import Context, _corpus, default_config, run_checks, validate_config
+from quadstab.checks import _corpus
+from quadstab.harness import Context, default_config, run_checks, validate_config
 from quadstab.lattice import KTheory
 
 D = DivisorClass
@@ -270,7 +271,7 @@ class TestNormalize:
             assert ctx.calc.class_of(ctx.calc.normalize(tree)) == ctx.calc.class_of(tree)
 
     def test_idempotent_on_corpus(self, ctx):
-        from quadstab.harness import _corpus
+        from quadstab.checks import _corpus
 
         calc = ctx.calc
         for text in _corpus(100):

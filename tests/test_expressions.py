@@ -1,10 +1,11 @@
-import dataclasses
+import copy
+import pickle
 import random
 
 import pytest
 
 from quadstab.geometry import DivisorClass, SurfaceDivisor
-from quadstab.harness import _corpus
+from quadstab.checks import _corpus
 from quadstab.expressions import (
     MAX_COEFFICIENT,
     MAX_DEPTH,
@@ -214,12 +215,11 @@ def _all_kinds() -> Cone:
 def _nodes(x):
     """Every node of a tree, the mutation records of cones included."""
     yield x
-    if dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            value = getattr(x, f.name)
-            for child in value if isinstance(value, tuple) else (value,):
-                if isinstance(child, FormalObject):
-                    yield from _nodes(child)
+    for name in x.__slots__:
+        value = getattr(x, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, FormalObject):
+                yield from _nodes(child)
 
 
 class TestNodes:
@@ -252,9 +252,14 @@ class TestNodes:
 
     def test_fields_are_frozen(self):
         for node in _nodes(_all_kinds()):
-            for f in dataclasses.fields(node):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(node, f.name, None)
+            for name in node.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(node, name, None)
+
+    def test_copy_and_pickle_rebuild_equal_trees(self):
+        tree = _all_kinds()
+        for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert copied == tree and hash(copied) == hash(tree)
 
     def test_nodes_have_no_dict(self):
         for node in _nodes(_all_kinds()):

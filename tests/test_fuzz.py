@@ -12,7 +12,7 @@ import pytest
 
 from quadstab.calculus import PreconditionError
 from quadstab.expressions import parse_object, pretty
-from quadstab.harness import _corpus
+from quadstab.checks import _corpus
 
 
 @pytest.fixture(scope="module")

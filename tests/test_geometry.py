@@ -254,7 +254,7 @@ class TestIntegerRiemannRoch:
             g.euler_characteristic(D(1, 0, 0))
 
     def test_hrr_check_uses_no_rational_pairing(self, monkeypatch):
-        from quadstab import harness
+        from quadstab import checks, harness
 
         calls = {"hrr_euler": 0, "chern_character": 0}
 
@@ -269,7 +269,7 @@ class TestIntegerRiemannRoch:
 
         for name in calls:
             monkeypatch.setattr(Geometry, name, counting(name))
-        ok, actual = harness._check_props_hrr(harness.Context(harness.default_config()))
+        ok, actual = checks._check_props_hrr(harness.Context(harness.default_config()))
         assert ok, actual
         assert calls == {"hrr_euler": 0, "chern_character": 0}
 

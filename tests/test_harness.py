@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 
 import quadstab
-from quadstab import harness, stability
+from quadstab import checks, harness, stability
 from quadstab.calculus import MAX_COPIES, Calculus, PreconditionError
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH, LineAtom, PushAtom
 from quadstab.geometry import DivisorClass, SurfaceDivisor
@@ -882,14 +882,14 @@ class TestOneDescent:
 
     def test_axioms_checks_see_the_same_support_report(self, monkeypatch, support_calls):
         seen = []
-        real = harness.check_weak_stability_condition
+        real = checks.check_weak_stability_condition
 
         def spying(*args):
             report = real(*args)
             seen.append(report.support)
             return report
 
-        monkeypatch.setattr(harness, "check_weak_stability_condition", spying)
+        monkeypatch.setattr(checks, "check_weak_stability_condition", spying)
         ctx = Context(default_config())
         results = run_checks(ctx, self.AXIOMS)
         assert [r.status for r in results] == ["pass", "pass"]
@@ -967,7 +967,7 @@ def euler_sweep_with_one_entry_moved() -> tuple:
         return table
 
     with mock.patch.object(Calculus, "rhom", spying), mock.patch.object(KTheory, "gram_matrix", moving):
-        ok, text = harness._check_props_euler(ctx)
+        ok, text = checks._check_props_euler(ctx)
     return ok, text, len(queries), queries == order
 
 

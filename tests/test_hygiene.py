@@ -13,13 +13,18 @@ so a refactor that drops one fails here and not first in a traced run.
 No module imports configparser: the harness reads its INI text itself, and
 a second reader beside it would read some texts differently.  Only the
 classes that need dataclass behaviour are dataclasses; every other value
-record is a typing.NamedTuple.
+record is a typing.NamedTuple or a hand-written slotted class.  Only
+quadstab.checks imports dataclasses, and a process that runs no check loads
+neither dataclasses, inspect nor the check registry.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quadstab
@@ -40,6 +45,40 @@ def _imported_modules(tree):
 def test_no_module_imports_configparser():
     importers = [name for name, tree in MODULES.items() if "configparser" in set(_imported_modules(tree))]
     assert importers == []
+
+
+def test_only_the_check_module_imports_dataclasses():
+    importers = [name for name, tree in MODULES.items() if "dataclasses" in set(_imported_modules(tree))]
+    assert importers == ["checks.py"]
+
+
+# A fresh process: the set-up every call makes, then each CLI command but
+# check and report.  It prints which of the modules a call that runs no
+# check should not load are loaded, then the same after one check runs.
+SETUP_PATH = """
+import contextlib, io, sys
+import quadstab.harness
+from quadstab import cli
+from quadstab.harness import Context, default_config
+
+WATCHED = ("dataclasses", "inspect", "quadstab.checks")
+Context(default_config()).names
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["rhom", "O()", "O(h)"], ["cohomology", "H"], ["mutate", "L", "O()", "O(h)"],
+                 ["class", "F"], ["gram", "SOD2"], ["kernel"]):
+        assert cli.main(argv) == 0, argv
+    before = [m for m in WATCHED if m in sys.modules]
+    assert cli.main(["check", "--only", "heart.B"]) == 0
+print(before, "quadstab.checks" in sys.modules)
+"""
+
+
+def test_calls_that_run_no_check_load_no_dataclasses_and_no_registry():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_PATH], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[] True"
 
 
 def _used_names(tree) -> set[str]:
@@ -144,24 +183,11 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
-# The classes that stay dataclasses.  The eight expression nodes compare
-# equal only within their type, keep their cached hash in a slot, and
-# TestNodes pins their dataclass fields.  Heart and CentralCharge define a
-# __len__ that counts simples, which a tuple would shadow.  The benchmark's
-# tracer calls dataclasses.replace on the Check rows of the registry.
-DATACLASSES = {
-    "expressions.Zero",
-    "expressions.LineAtom",
-    "expressions.PushAtom",
-    "expressions.Shift",
-    "expressions.Sum",
-    "expressions.Cone",
-    "expressions.MutateLeftNode",
-    "expressions.MutateRightNode",
-    "stability.Heart",
-    "stability.CentralCharge",
-    "harness.Check",
-}
+# The only class that stays a dataclass: the benchmark's tracer calls
+# dataclasses.replace on the Check rows of the registry.  The expression
+# nodes, Heart and CentralCharge are slotted classes with hand-written
+# __init__ and __eq__ methods.
+DATACLASSES = {"checks.Check"}
 
 
 def test_dataclasses_are_only_the_named_few():

@@ -17,7 +17,8 @@ that merges every candidate must raise no SoundnessError and give the same
 value for every pair.
 
 The laws run on the benchmark's recorded pool of 1,000 pairs and on all
-pairs of the distinct normal forms of the harness corpus.
+pairs of the distinct normal forms of the harness corpus; every rule is also
+consulted on the pairs of the props.euler-soundness sweep.
 """
 
 import json
@@ -28,7 +29,8 @@ import pytest
 from quadstab.calculus import Calculus, CopyLimitError, PreconditionError, SoundnessError
 from quadstab.expressions import Cone, LineAtom, PushAtom, Shift, Sum, Zero, parse_object
 from quadstab.geometry import DivisorClass, SurfaceDivisor
-from quadstab.harness import Context, _corpus, default_config
+from quadstab.checks import _corpus, _sweep_objects
+from quadstab.harness import Context, default_config
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "rhom_pool.json"
 
@@ -67,6 +69,16 @@ def corpus():
             objects[ctx.calc.normalize(parse_object(text))] = None
         except (PreconditionError, CopyLimitError):
             continue
+    pairs = [(x, y) for x in objects for y in objects]
+    return ctx.calc, pairs, _values(ctx.calc, pairs)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """One shared Context and the 23,409 pairs props.euler-soundness queries:
+    150 atoms and G, F, Ecal at the default twist, each against each."""
+    ctx = Context(default_config())
+    objects, _ = _sweep_objects(ctx)
     pairs = [(x, y) for x in objects for y in objects]
     return ctx.calc, pairs, _values(ctx.calc, pairs)
 
@@ -176,7 +188,7 @@ class ExhaustiveCalculus(Calculus):
         return best
 
 
-@pytest.mark.parametrize("pairs_of", ["pool", "corpus"])
+@pytest.mark.parametrize("pairs_of", ["pool", "corpus", "sweep"])
 def test_every_rule_agrees_with_the_first_determined(pairs_of, request):
     calc, pairs, values = request.getfixturevalue(pairs_of)
     exhaustive = ExhaustiveCalculus(calc.geometry)

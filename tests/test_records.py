@@ -6,7 +6,14 @@ tests pin what its callers see: fields cannot be set, repr and str print the
 texts they printed as dataclasses, the hash is that of the field tuple (so
 set and dict orders stay put), a CheckResult's dict keeps its key order for
 the JSON report, and no two configurations share a mutable dict.
+
+Heart and CentralCharge are slotted classes with hand-written methods, not
+dataclasses; the values they showed as frozen dataclasses on the default
+hearts and charges are pinned here.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -15,15 +22,19 @@ from quadstab.geometry import DivisorClass, GeometryConfig, GradedDims, SurfaceD
 from quadstab.harness import (
     DEFAULT_CONFIG_TEXT,
     CheckResult,
+    Context,
     HarnessConfig,
     ResolvedConfig,
     TiltSpec,
+    default_config,
     run_checks,
 )
 from quadstab.lattice import LatticeQuotient
 from quadstab.stability import (
     AxiomReport,
+    CentralCharge,
     DescentReport,
+    Heart,
     StabilityFunctionReport,
     SupportReport,
     Verdict,
@@ -116,3 +127,114 @@ def test_configs_share_no_dict(text):
     dicts = [(mine, theirs) for mine, theirs in zip(first, second) if isinstance(mine, dict)]
     assert len(dicts) == 3
     assert all(mine is not theirs for mine, theirs in dicts)
+
+
+# repr, as a frozen dataclass printed them, of the default hearts and charges
+HEART_REPRS = {
+    'B': (
+        "Heart(labels=('O(-h)', 'G', 'shift(F,-2)'), simples=(LineAtom(divisor=DivisorClass(nH=0, nh=-1, "
+        'nk=0)), Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), n=-2), '
+        "target=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1)), provenance='evaluation', "
+        'mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        'x=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1)))), '
+        'Shift(child=Cone(source=Shift(child=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=-1, '
+        "e=0)), n=-2), target=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), provenance='evaluation', "
+        'mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        'x=PushAtom(beta=SurfaceDivisor(d=0, e=-1)))), n=-1), '
+        'target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), '
+        "provenance='unspecified', mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), "
+        'x=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), n=-1), '
+        "target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), provenance='euler', "
+        'mutation=MutateLeftNode(e=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), '
+        'x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=-1)))))), n=-2)), classes=((2, -1, 0, 0, 0, 0, 0,'
+        ' 0), (2, 0, 0, 0, -2, 1, 0, 0), (-2, 0, 1, 0, 0, 1, -1, 0)), hom_table=((GradedDims({0: 1}), '
+        'GradedDims({1: 1}), GradedDims({1: 1, 3: 1})), (GradedDims({}), GradedDims({0: 1}), '
+        'GradedDims({2: 1})), (GradedDims({}), GradedDims({}), GradedDims({0: 1}))))'
+    ),
+    'Atilde': (
+        "Heart(labels=('shift(F,-2)[1]', 'ext(O(-h),shift(F,-2))', 'G'), simples=(Shift(child=Cone(source"
+        '=Shift(child=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), n=-2), '
+        "target=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), provenance='evaluation', "
+        'mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        'x=PushAtom(beta=SurfaceDivisor(d=0, e=-1)))), n=-1), '
+        'target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), '
+        "provenance='unspecified', mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), "
+        'x=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), n=-1), '
+        "target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), provenance='euler', "
+        'mutation=MutateLeftNode(e=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), '
+        'x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=-1)))))), n=-1), '
+        'Cone(source=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=-1), target=Shift(c'
+        'hild=Cone(source=Shift(child=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        "n=-2), target=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), provenance='evaluation', "
+        'mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        'x=PushAtom(beta=SurfaceDivisor(d=0, e=-1)))), n=-1), '
+        'target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), '
+        "provenance='unspecified', mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), "
+        'x=Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=0, e=-1)), n=-1), '
+        "target=Shift(child=LineAtom(divisor=DivisorClass(nH=0, nh=-1, nk=0)), n=1), provenance='euler', "
+        'mutation=MutateLeftNode(e=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=0)), '
+        "x=LineAtom(divisor=DivisorClass(nH=1, nh=0, nk=-1)))))), n=-2), provenance='universalExtension',"
+        ' mutation=None), Cone(source=Shift(child=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), n=-2), '
+        "target=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1)), provenance='evaluation', "
+        'mutation=MutateLeftNode(e=PushAtom(beta=SurfaceDivisor(d=-1, e=0)), '
+        'x=LineAtom(divisor=DivisorClass(nH=0, nh=0, nk=-1))))), classes=((2, 0, -1, 0, 0, -1, 1, 0), (0,'
+        ' -1, 1, 0, 0, 1, -1, 0), (2, 0, 0, 0, -2, 1, 0, 0)), hom_table=((GradedDims({0: 1}), '
+        'GradedDims({1: 1}), GradedDims({})), (GradedDims({2: 1}), GradedDims({0: 1, 3: 1}), '
+        'GradedDims({1: 1})), (GradedDims({1: 1}), GradedDims({2: 1}), GradedDims({0: 1}))))'
+    ),
+}
+
+CHARGE_REPRS = {
+    'Z_B': (
+        'CentralCharge(values=((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 1)), '
+        '(Fraction(1, 1), Fraction(1, 100))))'
+    ),
+    'Z_up': (
+        'CentralCharge(values=((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(0, 1)), '
+        '(Fraction(0, 1), Fraction(1, 1))))'
+    ),
+}
+
+CHARGE_HASHES = {"Z_B": 4464558110411728325, "Z_up": -8237598861681720355}
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return Context(default_config())
+
+
+@pytest.mark.parametrize("name", sorted(HEART_REPRS))
+def test_heart_as_recorded(ctx, name):
+    heart = ctx.hearts[name]
+    fields = (heart.labels, heart.simples, heart.classes, heart.hom_table)
+    assert repr(heart) == "".join(HEART_REPRS[name])
+    assert len(heart) == 3
+    same = Heart(*fields)
+    assert same is not heart and same == heart and not same != heart
+    assert hash(heart) == hash(same) == hash(fields)
+    assert heart != fields and heart.__eq__(fields) is NotImplemented
+    assert {ctx.hearts[other] == heart for other in HEART_REPRS} == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_REPRS))
+def test_charge_as_recorded(ctx, name):
+    _, Z = ctx.charge(name)
+    assert repr(Z) == "".join(CHARGE_REPRS[name])
+    assert len(Z) == 3
+    same = CentralCharge(Z.values)
+    assert same is not Z and same == Z and not same != Z
+    assert hash(Z) == hash(same) == hash((Z.values,)) == CHARGE_HASHES[name]
+    assert Z != Z.values and Z.__eq__(Z.values) is NotImplemented
+    assert {ctx.charge(other)[1] == Z for other in CHARGE_REPRS} == {True, False}
+
+
+def test_hearts_and_charges_are_read_only(ctx):
+    _, Z = ctx.charge("Z_B")
+    for value in (ctx.hearts["B"], Z):
+        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+        assert not hasattr(value, "__dict__")
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
