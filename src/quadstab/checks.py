@@ -24,7 +24,7 @@ from .lattice import IntegerLattice, integer_solution
 from .expressions import FormalObject, LineAtom, PushAtom, Shift, parse_object, pretty
 from .calculus import PreconditionError
 from .stability import check_weak_stability_condition, slope
-from .harness import DEFAULT_TWIST, Context
+from .harness import DEFAULT_TWIST, ConfigError, Context
 
 PROPERTY_TWISTS = ((-1, -1), (0, 0), (-2, 0))
 
@@ -288,10 +288,12 @@ def _check_descent_strong(ctx: Context) -> tuple[bool, str]:
 
 
 def _check_axioms_upstairs(ctx: Context) -> tuple[bool, str]:
+    # the torsion-pair charge on B: slope of the third simple is smallest
+    heart_b, ZB = ctx.charge("Z_B")
+    if heart_b != "B":
+        raise ConfigError(f"charge 'Z_B' is on heart {heart_b!r}; this check reads it on heart 'B'")
     heart_name, Z = ctx.charge("Z_up")
     rep = check_weak_stability_condition(ctx.hearts[heart_name], Z, ctx.descent())
-    # the torsion-pair charge on B: slope of the third simple is smallest
-    _, ZB = ctx.charge("Z_B")
     s1 = slope(ZB, [1, 0, 0])
     s3 = slope(ZB, [0, 0, 1])
     order_ok = s1 > s3

@@ -17,8 +17,8 @@ limits: a tree nested deeper than MAX_DEPTH or holding more than MAX_NODES
 nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
 in absolute value, are rejected with a ParseError.
 
-Nodes are immutable slotted classes with hand-written __init__ and __eq__
-methods (no generated code, so importing this module stays cheap): a node
+Nodes are immutable slotted geometry.Frozen values with a hand-written
+__init__ (no generated code, so importing this module stays cheap): a node
 equals only a node of its own class with equal fields, and its repr is the
 dataclass text.  Each node computes its hash once, on first use, from its
 class name and fields, and keeps it in the shared `_hash` slot, so hashing a
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .geometry import DivisorClass, SurfaceDivisor
+from .geometry import DivisorClass, Frozen, SurfaceDivisor, _set
 
 
 class ParseError(Exception):
@@ -45,40 +45,9 @@ class ParseError(Exception):
         self.position = position
 
 
-_set = object.__setattr__
-
-
-class Frozen:
-    """Slotted base of immutable values.  The fields of a value are the
-    __slots__ of its class, each set once by its __init__; repr prints them
-    as a dataclass would."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild the value through __init__, which takes
-        # the fields in slot order; the default sets each slot through
-        # __setattr__, which refuses
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-
 class _Node(Frozen):
-    """Slotted base whose hash is computed on first use and then kept.
-
-    Each node class defines a field-tuple __eq__ that is equal only within
-    the class, and so must name this __hash__ again: a class that defines
-    __eq__ alone is unhashable.
-    """
+    """Base of the nodes: the hash of (class name, *fields), computed on
+    first use and then kept in the `_hash` slot."""
 
     __slots__ = ("_hash",)
 
@@ -86,7 +55,7 @@ class _Node(Frozen):
         try:
             return self._hash
         except AttributeError:
-            h = hash((type(self).__name__, *(getattr(self, f) for f in self.__slots__)))
+            h = hash((type(self).__name__, *self._values()))
             _set(self, "_hash", h)
             return h
 
@@ -99,69 +68,39 @@ class FormalObject(_Node):
 
 class Zero(FormalObject):
     __slots__ = ()
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
 
 
 class LineAtom(FormalObject):
     """Line bundle O(D) on the threefold."""
 
     __slots__ = ("divisor",)
-    __hash__ = _Node.__hash__
 
     def __init__(self, divisor: DivisorClass):
         _set(self, "divisor", divisor)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.divisor,) == (other.divisor,)
-        return NotImplemented
 
 
 class PushAtom(FormalObject):
     """Sheaf O_E(d, e) on the embedded quadric surface."""
 
     __slots__ = ("beta",)
-    __hash__ = _Node.__hash__
 
     def __init__(self, beta: SurfaceDivisor):
         _set(self, "beta", beta)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.beta,) == (other.beta,)
-        return NotImplemented
-
 
 class Shift(FormalObject):
     __slots__ = ("child", "n")
-    __hash__ = _Node.__hash__
 
     def __init__(self, child: FormalObject, n: int):
         _set(self, "child", child)
         _set(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.child, self.n) == (other.child, other.n)
-        return NotImplemented
-
 
 class Sum(FormalObject):
     __slots__ = ("children",)
-    __hash__ = _Node.__hash__
 
     def __init__(self, children: tuple[FormalObject, ...]):
         _set(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.children,) == (other.children,)
-        return NotImplemented
 
 
 class MutateLeftNode(FormalObject):
@@ -170,16 +109,10 @@ class MutateLeftNode(FormalObject):
     children, the mutation that cone evaluates."""
 
     __slots__ = ("e", "x")
-    __hash__ = _Node.__hash__
 
     def __init__(self, e: FormalObject, x: FormalObject):
         _set(self, "e", e)
         _set(self, "x", x)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e, self.x) == (other.e, other.x)
-        return NotImplemented
 
 
 class MutateRightNode(FormalObject):
@@ -187,16 +120,10 @@ class MutateRightNode(FormalObject):
     cone that evaluates it, as for MutateLeftNode."""
 
     __slots__ = ("x", "e")
-    __hash__ = _Node.__hash__
 
     def __init__(self, x: FormalObject, e: FormalObject):
         _set(self, "x", x)
         _set(self, "e", e)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.e) == (other.x, other.e)
-        return NotImplemented
 
 
 class Cone(FormalObject):
@@ -205,7 +132,6 @@ class Cone(FormalObject):
     `mutation` is the L or R node the cone evaluates, if it is one."""
 
     __slots__ = ("source", "target", "provenance", "mutation")
-    __hash__ = _Node.__hash__
 
     def __init__(
         self,
@@ -218,16 +144,6 @@ class Cone(FormalObject):
         _set(self, "target", target)
         _set(self, "provenance", provenance)
         _set(self, "mutation", mutation)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.provenance, self.mutation) == (
-                other.source,
-                other.target,
-                other.provenance,
-                other.mutation,
-            )
-        return NotImplemented
 
 
 # The words that take two objects, each with the class whose first two

@@ -28,6 +28,53 @@ class GeometryError(Exception):
     pass
 
 
+_set = object.__setattr__
+
+
+class Frozen:
+    """Slotted base of immutable values.  The fields of a value are the
+    __slots__ of its class, each set once by its __init__ through _set.  A
+    value equals only a value of its own class with equal fields, and hashes
+    as its field tuple; repr prints the fields as a dataclass would.  Each
+    subclass is given its __eq__ here, from its own __slots__, so it states
+    its fields once and defines no __eq__ or __hash__ of its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else (lambda value: ())
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the value through __init__, which takes
+        # the fields in slot order; the default sets each slot through
+        # __setattr__, which refuses
+        return type(self), self._values()
+
+
 class GeometryConfig(NamedTuple):
     """Twist (a, b) of the bundle O + O(a, b) defining the threefold."""
 

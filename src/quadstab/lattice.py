@@ -26,7 +26,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import ChowElement, DivisorClass, Geometry, SurfaceDivisor, Q
+from .geometry import ChowElement, DivisorClass, Frozen, Geometry, SurfaceDivisor, Q, _set
 
 
 class LatticeError(Exception):
@@ -458,19 +458,21 @@ class KTheory:
 # ---------------------------------------------------------------------------
 
 
-class IntegerLattice:
-    """Sublattice of Z^n given by generator rows, canonicalized by HNF."""
+class IntegerLattice(Frozen):
+    """Sublattice of Z^n given by generator rows, canonicalized by HNF, so
+    two lattices are equal exactly when their ambient ranks and HNF rows are."""
+
+    __slots__ = ("ambient_rank", "hnf")
 
     def __init__(self, ambient_rank: int, generators: Iterable[Sequence[int]] = ()):
-        self.ambient_rank = int(ambient_rank)
+        ambient_rank = int(ambient_rank)
         gens = [list(map(int, g)) for g in generators]
         for g in gens:
-            if len(g) != self.ambient_rank:
-                raise LatticeError(
-                    f"generator length {len(g)} != ambient rank {self.ambient_rank}"
-                )
+            if len(g) != ambient_rank:
+                raise LatticeError(f"generator length {len(g)} != ambient rank {ambient_rank}")
         hnf, _ = hnf_with_transform(gens) if gens else ([], [])
-        self.hnf: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in hnf)
+        _set(self, "ambient_rank", ambient_rank)
+        _set(self, "hnf", tuple(tuple(r) for r in hnf))
 
     @property
     def rank(self) -> int:
@@ -480,16 +482,6 @@ class IntegerLattice:
         if len(vec) != self.ambient_rank:
             raise LatticeError("vector length does not match ambient rank")
         return self.basis_coordinates(vec) is not None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerLattice)
-            and self.ambient_rank == other.ambient_rank
-            and self.hnf == other.hnf
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_rank, self.hnf))
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
         return all(self.member(row) for row in other.hnf)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .geometry import GradedDims, Q
+from .geometry import Frozen, GradedDims, Q, _set
 from .lattice import (
     IntegerLattice,
     KClass,
@@ -28,7 +28,7 @@ from .lattice import (
     quotient as lattice_quotient,
 )
 from .calculus import Calculus, PreconditionError, SoundnessError
-from .expressions import Cone, FormalObject, Frozen, shifted
+from .expressions import Cone, FormalObject, shifted
 
 
 @total_ordering
@@ -64,23 +64,10 @@ class Heart(Frozen):
         classes: tuple[KClass, ...],
         hom_table: tuple[tuple[GradedDims, ...], ...],
     ):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "simples", simples)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "hom_table", hom_table)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.labels, self.simples, self.classes, self.hom_table) == (
-                other.labels,
-                other.simples,
-                other.classes,
-                other.hom_table,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.simples, self.classes, self.hom_table))
+        _set(self, "labels", labels)
+        _set(self, "simples", simples)
+        _set(self, "classes", classes)
+        _set(self, "hom_table", hom_table)
 
     def __len__(self) -> int:
         return len(self.simples)
@@ -92,15 +79,7 @@ class CentralCharge(Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[tuple[Q, Q], ...]):  # (re, im) per simple
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.values,) == (other.values,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
+        _set(self, "values", values)
 
     @staticmethod
     def of(pairs: Sequence[tuple]) -> "CentralCharge":

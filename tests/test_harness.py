@@ -900,7 +900,9 @@ class TestOneDescent:
 
 class TestChargesOnTheirHearts:
     """A charge is read on the heart its config line names, and a charge
-    evaluated on a vector of another length is an error, not a truncation."""
+    evaluated on a vector of another length is an error, not a truncation.
+    axioms.weak-upstairs reads Z_B on the simples of B, so a Z_B on any
+    other heart is a config error."""
 
     DESCENT_CHECKS = (
         "descent.serre-generator",
@@ -920,9 +922,18 @@ class TestChargesOnTheirHearts:
 
     def test_short_z_b_is_refused(self):
         cfg = self.config("Z_B = B ; (0,1) ; (0,1) ; (1,1/100)", "Z_B = C ; (0,1) ; (-1,1)")
-        results = run_checks(cfg, ("axioms.weak-upstairs",))
-        assert [r.status for r in results] == ["ambiguous"]
-        assert results[0].actual == "StabilityError: 3 coefficients for a charge on 2 simples"
+        with pytest.raises(ConfigError, match="^charge 'Z_B' is on heart 'C'; this check reads it on heart 'B'$"):
+            run_checks(cfg, ("axioms.weak-upstairs",))
+
+    def test_z_b_on_another_three_simple_heart_exits_2(self, tmp_path, capsys):
+        text = DEFAULT_CONFIG_TEXT.replace("Z_B = B ;", "Z_B = Atilde ;")
+        assert text != DEFAULT_CONFIG_TEXT
+        path = tmp_path / "z_b.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "check", "--only", "axioms.weak-upstairs"]) == 2
+        assert capsys.readouterr().err == (
+            "error: charge 'Z_B' is on heart 'Atilde'; this check reads it on heart 'B'\n"
+        )
 
     def test_z_up_descends_on_the_heart_it_names(self):
         cfg = self.config("Z_up = Atilde ; (0,1) ; (0,0) ; (0,1)", "Z_up = C ; (0,1) ; (0,1)")

@@ -13,9 +13,11 @@ so a refactor that drops one fails here and not first in a traced run.
 No module imports configparser: the harness reads its INI text itself, and
 a second reader beside it would read some texts differently.  Only the
 classes that need dataclass behaviour are dataclasses; every other value
-record is a typing.NamedTuple or a hand-written slotted class.  Only
+record is a typing.NamedTuple or a slotted geometry.Frozen value.  Only
 quadstab.checks imports dataclasses, and a process that runs no check loads
-neither dataclasses, inspect nor the check registry.
+neither dataclasses, inspect nor the check registry.  Frozen derives each
+subclass's equality from its __slots__, so only the named few classes
+define __eq__ or __hash__ in their bodies.
 """
 
 import ast
@@ -185,8 +187,8 @@ def test_every_tracer_target_resolves():
 
 # The only class that stays a dataclass: the benchmark's tracer calls
 # dataclasses.replace on the Check rows of the registry.  The expression
-# nodes, Heart and CentralCharge are slotted classes with hand-written
-# __init__ and __eq__ methods.
+# nodes, Heart, CentralCharge and IntegerLattice are slotted Frozen values
+# with a hand-written __init__; Frozen derives their equality and hash.
 DATACLASSES = {"checks.Check"}
 
 
@@ -205,3 +207,36 @@ def test_dataclasses_are_only_the_named_few():
         "where a typing.NamedTuple record costs about 0.1 ms: make a new value record a "
         "NamedTuple, or name here why it must be a dataclass"
     )
+
+
+# The classes whose bodies bind __eq__ or __hash__.  Frozen gives each
+# subclass an __eq__ built from its __slots__, and so would silently replace
+# one written in a subclass body; _Node keeps its hash cached in a slot; and
+# GradedDims compares its dict of dimensions and ignores its cached Euler
+# number.
+OWN_EQUALITY = {"geometry.Frozen", "expressions._Node", "geometry.GradedDims"}
+
+
+def _binds_equality(cls: ast.ClassDef) -> bool:
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [getattr(target, "id", None) for target in node.targets]
+        elif isinstance(node, ast.AnnAssign):
+            names = [getattr(node.target, "id", None)]
+        else:
+            continue
+        if {"__eq__", "__hash__"} & set(names):
+            return True
+    return False
+
+
+def test_only_the_named_few_classes_state_their_equality():
+    found = {
+        f"{Path(name).stem}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _binds_equality(node)
+    }
+    assert found == OWN_EQUALITY

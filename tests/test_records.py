@@ -7,9 +7,10 @@ texts they printed as dataclasses, the hash is that of the field tuple (so
 set and dict orders stay put), a CheckResult's dict keeps its key order for
 the JSON report, and no two configurations share a mutable dict.
 
-Heart and CentralCharge are slotted classes with hand-written methods, not
-dataclasses; the values they showed as frozen dataclasses on the default
-hearts and charges are pinned here.
+Heart, CentralCharge and IntegerLattice are slotted Frozen values, not
+dataclasses; the values Heart and CentralCharge showed as frozen dataclasses
+on the default hearts and charges are pinned here, and IntegerLattice keeps
+the hash and text it had as a plain class.
 """
 
 import copy
@@ -29,7 +30,7 @@ from quadstab.harness import (
     default_config,
     run_checks,
 )
-from quadstab.lattice import LatticeQuotient
+from quadstab.lattice import IntegerLattice, LatticeQuotient
 from quadstab.stability import (
     AxiomReport,
     CentralCharge,
@@ -238,3 +239,31 @@ def test_hearts_and_charges_are_read_only(ctx):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
                 delattr(value, name)
+
+
+# Each lattice with its str and hash as recorded when it was a plain class
+# (a tuple of ints hashes the same in every process).
+LATTICES = {
+    "rank 2": (
+        IntegerLattice(3, [[2, 4, 0], [0, 3, 3]]),
+        "lattice(rank 2 in Z^3: [2, 1, -3], [0, 3, 3])",
+        9118100783619949922,
+    ),
+    "zero": (IntegerLattice(2), "lattice(rank 0 in Z^2: )", 7952677415836332426),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_is_a_frozen_value(name):
+    lat, text, recorded = LATTICES[name]
+    assert str(lat) == text
+    assert hash(lat) == recorded
+    assert not hasattr(lat, "__dict__")
+    for field in ("ambient_rank", "hnf"):
+        with pytest.raises(AttributeError):
+            setattr(lat, field, None)
+        with pytest.raises(AttributeError):
+            delattr(lat, field)
+    assert hash(lat) == hash((lat.ambient_rank, lat.hnf))
+    assert lat != lat.hnf and lat.__eq__(lat.hnf) is NotImplemented
+    assert copy.deepcopy(lat) == lat == pickle.loads(pickle.dumps(lat))
