@@ -266,25 +266,15 @@ def _check_spherical(ctx: Context) -> tuple[bool, str]:
     return ok, f"dims {r}, serre twist ok: {serre_ok}"
 
 
-def _check_descent_generator(ctx: Context) -> tuple[bool, str]:
-    v = ctx.descent().serre_generator
-    return v.ok, v.detail
-
-
-def _check_descent_kerz(ctx: Context) -> tuple[bool, str]:
-    v = ctx.descent().kernel_matches_ker_z
-    return v.ok, v.detail
+def _descent_verdict(field: str) -> Callable[[Context], tuple[bool, str]]:
+    """The runner that reads one Verdict, already (ok, detail), of ctx.descent()."""
+    return lambda ctx: getattr(ctx.descent(), field)
 
 
 def _check_descent_quotient(ctx: Context) -> tuple[bool, str]:
     quot = ctx.descent().quotient
     ok = quot.rank == 1 and not quot.torsion
     return ok, f"quotient rank {quot.rank}, torsion {list(quot.torsion) or 'none'}"
-
-
-def _check_descent_strong(ctx: Context) -> tuple[bool, str]:
-    v = ctx.descent().induced_strong
-    return v.ok, v.detail
 
 
 def _check_axioms_upstairs(ctx: Context) -> tuple[bool, str]:
@@ -502,11 +492,12 @@ REGISTRY: tuple[Check, ...] = (
     Check("spherical.K", "kernel generator is 3-spherical",
           "RHom(Ecal,Ecal) = {0: 1, 3: 1} and S[Ecal] = -[Ecal]", "pinned", _check_spherical),
     Check("descent.serre-generator", "kernel visible in the heart", "kernel generated inside the positive cone",
-          "pinned", _check_descent_generator),
-    Check("descent.kerZ", "ker Z = kernel lattice", "ker Z equals the kernel lattice", "pinned", _check_descent_kerz),
+          "pinned", _descent_verdict("serre_generator")),
+    Check("descent.kerZ", "ker Z = kernel lattice", "ker Z equals the kernel lattice", "pinned",
+          _descent_verdict("kernel_matches_ker_z")),
     Check("descent.quotient", "quotient is Z", "rank 1, torsion-free", "pinned", _check_descent_quotient),
     Check("descent.strong-downstairs", "induced charge is strong", "induced charge is a strong stability function",
-          "pinned", _check_descent_strong),
+          "pinned", _descent_verdict("induced_strong")),
     Check("axioms.weak-upstairs", "weak stability condition upstairs",
           "weak axioms hold; torsion-pair slopes are ordered", "pinned", _check_axioms_upstairs),
     Check("axioms.bridgeland-downstairs", "Bridgeland condition downstairs",

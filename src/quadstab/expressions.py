@@ -17,13 +17,14 @@ limits: a tree nested deeper than MAX_DEPTH or holding more than MAX_NODES
 nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
 in absolute value, are rejected with a ParseError.
 
-Nodes are immutable slotted geometry.Frozen values with a hand-written
-__init__ (no generated code, so importing this module stays cheap): a node
-equals only a node of its own class with equal fields, and its repr is the
-dataclass text.  Each node computes its hash once, on first use, from its
-class name and fields, and keeps it in the shared `_hash` slot, so hashing a
-tree (as every memo lookup of the calculus does) is O(1) after the first
-time, not a walk over the whole tree.
+Nodes are immutable slotted geometry.Frozen values, built from their fields
+in __slots__ order (no generated code, so importing this module stays
+cheap): a node equals only a node of its own class with equal fields, and
+its repr is the dataclass text.  Each node computes its hash once, on first
+use, from its class name and fields, and keeps it in the shared `_hash`
+slot, so hashing a tree (as every memo lookup of the calculus does) is O(1)
+after the first time, not a walk over the whole tree.  The hash is the same
+in every process run at one PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class ParseError(Exception):
         self.position = position
 
 
-class _Node(Frozen):
-    """Base of the nodes: the hash of (class name, *fields), computed on
-    first use and then kept in the `_hash` slot."""
+class FormalObject(Frozen):
+    """Base class for expression-tree nodes: the hash of (class name,
+    *fields), computed on first use and then kept in the `_hash` slot."""
 
     __slots__ = ("_hash",)
 
@@ -55,15 +56,12 @@ class _Node(Frozen):
         try:
             return self._hash
         except AttributeError:
-            h = hash((type(self).__name__, *self._values()))
+            # hash(None) is the address of None on Python 3.11, so the None
+            # of a cone without a mutation is hashed as 0: the same node then
+            # hashes alike in every process (at one PYTHONHASHSEED)
+            h = hash((type(self).__name__, *[0 if v is None else v for v in self._values()]))
             _set(self, "_hash", h)
             return h
-
-
-class FormalObject(_Node):
-    """Base class for expression-tree nodes."""
-
-    __slots__ = ()
 
 
 class Zero(FormalObject):
@@ -71,79 +69,55 @@ class Zero(FormalObject):
 
 
 class LineAtom(FormalObject):
-    """Line bundle O(D) on the threefold."""
+    """Line bundle O(D) on the threefold; divisor: DivisorClass."""
 
     __slots__ = ("divisor",)
 
-    def __init__(self, divisor: DivisorClass):
-        _set(self, "divisor", divisor)
-
 
 class PushAtom(FormalObject):
-    """Sheaf O_E(d, e) on the embedded quadric surface."""
+    """Sheaf O_E(d, e) on the embedded quadric surface; beta: SurfaceDivisor."""
 
     __slots__ = ("beta",)
 
-    def __init__(self, beta: SurfaceDivisor):
-        _set(self, "beta", beta)
-
 
 class Shift(FormalObject):
-    __slots__ = ("child", "n")
+    """child[n]; child: FormalObject, n: int."""
 
-    def __init__(self, child: FormalObject, n: int):
-        _set(self, "child", child)
-        _set(self, "n", n)
+    __slots__ = ("child", "n")
 
 
 class Sum(FormalObject):
-    __slots__ = ("children",)
+    """Direct sum; children: tuple[FormalObject, ...]."""
 
-    def __init__(self, children: tuple[FormalObject, ...]):
-        _set(self, "children", children)
+    __slots__ = ("children",)
 
 
 class MutateLeftNode(FormalObject):
-    """Left mutation L(e, x).  In a tree it is unevaluated and removed by
-    normalization; as the `mutation` of a cone it records, with normal-form
-    children, the mutation that cone evaluates."""
+    """Left mutation L(e, x); e, x: FormalObject.  In a tree it is
+    unevaluated and removed by normalization; as the `mutation` of a cone it
+    records, with normal-form children, the mutation that cone evaluates."""
 
     __slots__ = ("e", "x")
 
-    def __init__(self, e: FormalObject, x: FormalObject):
-        _set(self, "e", e)
-        _set(self, "x", x)
-
 
 class MutateRightNode(FormalObject):
-    """Right mutation R(x, e); unevaluated in a tree, and the record of a
-    cone that evaluates it, as for MutateLeftNode."""
+    """Right mutation R(x, e); x, e: FormalObject.  Unevaluated in a tree,
+    and the record of a cone that evaluates it, as for MutateLeftNode."""
 
     __slots__ = ("x", "e")
 
-    def __init__(self, x: FormalObject, e: FormalObject):
-        _set(self, "x", x)
-        _set(self, "e", e)
-
 
 class Cone(FormalObject):
-    """Third vertex of the triangle source -> target -> cone -> source[1].
+    """Third vertex of the triangle source -> target -> cone -> source[1];
+    source, target: FormalObject, provenance: str.
 
-    `mutation` is the L or R node the cone evaluates, if it is one."""
+    `mutation` is the L or R node (MutateLeftNode | MutateRightNode) the
+    cone evaluates, if it is one, and None otherwise."""
 
     __slots__ = ("source", "target", "provenance", "mutation")
 
-    def __init__(
-        self,
-        source: FormalObject,
-        target: FormalObject,
-        provenance: str = "unspecified",
-        mutation: Optional[MutateLeftNode | MutateRightNode] = None,
-    ):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "provenance", provenance)
-        _set(self, "mutation", mutation)
+    def __init__(self, source, target, provenance="unspecified", mutation=None):
+        Frozen.__init__(self, source, target, provenance, mutation)
 
 
 # The words that take two objects, each with the class whose first two

@@ -33,11 +33,12 @@ _set = object.__setattr__
 
 class Frozen:
     """Slotted base of immutable values.  The fields of a value are the
-    __slots__ of its class, each set once by its __init__ through _set.  A
-    value equals only a value of its own class with equal fields, and hashes
-    as its field tuple; repr prints the fields as a dataclass would.  Each
-    subclass is given its __eq__ here, from its own __slots__, so it states
-    its fields once and defines no __eq__ or __hash__ of its own."""
+    __slots__ of its class: __init__ takes them positionally in that order
+    and sets each once through _set.  A value equals only a value of its own
+    class with equal fields, and hashes as its field tuple; repr prints the
+    fields as a dataclass would.  Each subclass is given its __eq__ here,
+    from its own __slots__, so it states its fields once and defines no
+    __init__, __eq__ or __hash__ of its own."""
 
     __slots__ = ()
 
@@ -51,6 +52,15 @@ class Frozen:
             return NotImplemented
 
         cls.__eq__ = __eq__
+
+    def __init__(self, *values):
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} fields {fields}, got {len(values)}"
+            )
+        for field, value in zip(fields, values):
+            _set(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)

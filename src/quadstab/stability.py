@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .geometry import Frozen, GradedDims, Q, _set
+from .geometry import Frozen, GradedDims, Q
 from .lattice import (
     IntegerLattice,
     KClass,
@@ -53,33 +53,23 @@ class StabilityError(Exception):
 
 
 class Heart(Frozen):
-    """Heart of a bounded t-structure presented by simples."""
+    """Heart of a bounded t-structure presented by simples.
+
+    Fields: labels: tuple[str, ...]; simples: tuple[FormalObject, ...];
+    classes: tuple[KClass, ...]; hom_table: tuple[tuple[GradedDims, ...], ...].
+    """
 
     __slots__ = ("labels", "simples", "classes", "hom_table")
-
-    def __init__(
-        self,
-        labels: tuple[str, ...],
-        simples: tuple[FormalObject, ...],
-        classes: tuple[KClass, ...],
-        hom_table: tuple[tuple[GradedDims, ...], ...],
-    ):
-        _set(self, "labels", labels)
-        _set(self, "simples", simples)
-        _set(self, "classes", classes)
-        _set(self, "hom_table", hom_table)
 
     def __len__(self) -> int:
         return len(self.simples)
 
 
 class CentralCharge(Frozen):
-    """Complex charge values, one per simple, with exact rational parts."""
+    """Complex charge values, one per simple, with exact rational parts;
+    values: tuple[tuple[Q, Q], ...], one (re, im) per simple."""
 
     __slots__ = ("values",)
-
-    def __init__(self, values: tuple[tuple[Q, Q], ...]):  # (re, im) per simple
-        _set(self, "values", values)
 
     @staticmethod
     def of(pairs: Sequence[tuple]) -> "CentralCharge":

@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,25 @@ class TestNodes:
         tree = _all_kinds()
         for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
             assert copied == tree and hash(copied) == hash(tree)
+
+    def test_hashes_agree_between_processes(self):
+        # a cone parsed from text has no mutation, and hash(None) is an
+        # address on Python 3.11, which can differ between processes
+        script = (
+            "from quadstab.expressions import parse_object\n"
+            "from quadstab.harness import Context, default_config\n"
+            "print(hash(parse_object('cone(O(),O(h))')))\n"
+            "print(sorted((n, hash(x)) for n, x in Context(default_config()).names.items()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outs[0] == outs[1]
 
     def test_nodes_have_no_dict(self):
         for node in _nodes(_all_kinds()):

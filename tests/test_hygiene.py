@@ -16,8 +16,8 @@ classes that need dataclass behaviour are dataclasses; every other value
 record is a typing.NamedTuple or a slotted geometry.Frozen value.  Only
 quadstab.checks imports dataclasses, and a process that runs no check loads
 neither dataclasses, inspect nor the check registry.  Frozen derives each
-subclass's equality from its __slots__, so only the named few classes
-define __eq__ or __hash__ in their bodies.
+subclass's __init__ and equality from its __slots__, so only the named few
+classes define __init__, __eq__ or __hash__ in their bodies.
 """
 
 import ast
@@ -187,8 +187,8 @@ def test_every_tracer_target_resolves():
 
 # The only class that stays a dataclass: the benchmark's tracer calls
 # dataclasses.replace on the Check rows of the registry.  The expression
-# nodes, Heart, CentralCharge and IntegerLattice are slotted Frozen values
-# with a hand-written __init__; Frozen derives their equality and hash.
+# nodes, Heart, CentralCharge and IntegerLattice are slotted Frozen values;
+# Frozen derives their __init__, equality and hash.
 DATACLASSES = {"checks.Check"}
 
 
@@ -211,10 +211,10 @@ def test_dataclasses_are_only_the_named_few():
 
 # The classes whose bodies bind __eq__ or __hash__.  Frozen gives each
 # subclass an __eq__ built from its __slots__, and so would silently replace
-# one written in a subclass body; _Node keeps its hash cached in a slot; and
-# GradedDims compares its dict of dimensions and ignores its cached Euler
-# number.
-OWN_EQUALITY = {"geometry.Frozen", "expressions._Node", "geometry.GradedDims"}
+# one written in a subclass body; FormalObject keeps its hash cached in a
+# slot; and GradedDims compares its dict of dimensions and ignores its cached
+# Euler number.
+OWN_EQUALITY = {"geometry.Frozen", "expressions.FormalObject", "geometry.GradedDims"}
 
 
 def _binds_equality(cls: ast.ClassDef) -> bool:
@@ -240,3 +240,25 @@ def test_only_the_named_few_classes_state_their_equality():
         if isinstance(node, ast.ClassDef) and _binds_equality(node)
     }
     assert found == OWN_EQUALITY
+
+
+# The Frozen classes whose bodies define __init__.  Frozen.__init__ takes the
+# fields in __slots__ order, the order __reduce__ rebuilds a value from;
+# Cone gives its last two fields defaults, and IntegerLattice builds its HNF
+# from generator rows (its HNF rows rebuild the same HNF).
+OWN_INIT = {"expressions.Cone", "lattice.IntegerLattice"}
+
+
+def test_only_the_named_few_frozen_classes_define_init():
+    from quadstab.geometry import Frozen
+
+    for name in MODULES:
+        if name != "__main__.py":  # importing __main__ would run the CLI
+            importlib.import_module(f"quadstab.{Path(name).stem}")
+    found, todo = set(), Frozen.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("quadstab.") and "__init__" in vars(cls):
+            found.add(f"{cls.__module__.split('.')[1]}.{cls.__qualname__}")
+    assert found == OWN_INIT

@@ -9,8 +9,9 @@ the JSON report, and no two configurations share a mutable dict.
 
 Heart, CentralCharge and IntegerLattice are slotted Frozen values, not
 dataclasses; the values Heart and CentralCharge showed as frozen dataclasses
-on the default hearts and charges are pinned here, and IntegerLattice keeps
-the hash and text it had as a plain class.
+on the default hearts and charges are pinned here, IntegerLattice keeps
+the hash and text it had as a plain class, and a wrong field count for
+these or an expression node raises TypeError naming the class.
 """
 
 import copy
@@ -19,6 +20,7 @@ import pickle
 import pytest
 
 from quadstab.calculus import ExtExceptionalReport, IdentityReport, RHomResult, SemiorthReport
+from quadstab.expressions import LineAtom, MutateLeftNode, Shift, Zero
 from quadstab.geometry import DivisorClass, GeometryConfig, GradedDims, SurfaceDivisor
 from quadstab.harness import (
     DEFAULT_CONFIG_TEXT,
@@ -239,6 +241,14 @@ def test_hearts_and_charges_are_read_only(ctx):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
                 delattr(value, name)
+
+
+@pytest.mark.parametrize("cls", [Heart, CentralCharge, LineAtom, Shift, MutateLeftNode, Zero])
+def test_wrong_field_count_is_refused(cls):
+    n = len(cls.__slots__)
+    for count in {0, n + 1} - {n}:
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {n} fields"):
+            cls(*range(count))
 
 
 # Each lattice with its str and hash as recorded when it was a plain class
