@@ -787,7 +787,7 @@ class Calculus:
 
     def is_spherical(self, x: FormalObject, n: int) -> bool:
         x = self.normalize(x)
-        if self.determined_dims(x, x, "is_spherical") != GradedDims({0: 1, n: 1}):
+        if self.determined_dims(x, x, "is_spherical") != GradedDims.single(0) + GradedDims.single(n):
             return False
         cls = self.class_of(x)
         return self.ktheory.serre_class(cls) == cls.scale((-1) ** (n % 2))

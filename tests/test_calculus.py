@@ -365,6 +365,13 @@ class TestPredicates:
         assert ctx.calc.is_spherical(ctx.obj("shift(Ecal,1)"), 3)
         assert not ctx.calc.is_spherical(ctx.obj("O()"), 3)
 
+    @pytest.mark.parametrize("dims, spherical", [({0: 2}, True), ({0: 1}, False)])
+    def test_zero_spherical_wants_two_dimensions_in_degree_zero(self, ctx, monkeypatch, dims, spherical):
+        # A 0-spherical x has RHom(x, x) = k^2 in degree 0 and S(x) = x.
+        monkeypatch.setattr(ctx.calc, "determined_dims", lambda x, y, who: GradedDims(dims))
+        monkeypatch.setattr(ctx.calc.ktheory, "serre_class", lambda cls: cls)
+        assert ctx.calc.is_spherical(ctx.obj("O()"), 0) is spherical
+
 
 def _strip_tags(tree):
     """Forget provenance and mutation tags, keeping the same object."""

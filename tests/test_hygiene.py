@@ -2,12 +2,12 @@
 
 A deletion tends to leave an unused import or an orphaned private helper
 behind; these tests name each one.  Every name a module imports must be used
-in that module (``__init__.py``, whose imports are re-exports, and
-``from __future__`` are exempt).  Every private ``_name`` function, method
-or class must be referenced somewhere in the package.  Every exception class
-the package defines must be raised by name somewhere in it, so no caller
-catches an exception that can no longer occur.  ``__all__`` lists exactly the
-names ``__init__.py`` imports, so ``from quadstab import *`` re-exports each.
+in that module (``from __future__`` is exempt).  Every private ``_name``
+function, method or class must be referenced somewhere in the package.  Every
+exception class the package defines must be raised by name somewhere in it,
+so no caller catches an exception that can no longer occur.  The package
+``__init__.py`` re-exports nothing, so a fresh import of one module loads
+only the package and what that module itself imports.
 Every ``module:attr`` target that the benchmark's tracer wraps still exists,
 so a refactor that drops one fails here and not first in a traced run.
 No module imports configparser: the harness reads its INI text itself, and
@@ -28,6 +28,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import quadstab
 
@@ -105,8 +107,6 @@ def _imported_names(tree):
 def test_every_import_is_used():
     unused = []
     for name, tree in MODULES.items():
-        if name == "__init__.py":
-            continue
         used = _used_names(tree)
         unused.extend(f"{name}: {imported}" for imported in _imported_names(tree) if imported not in used)
     assert unused == []
@@ -151,10 +151,23 @@ def test_every_exception_class_is_raised():
     assert never == []
 
 
-def test_all_names_each_reexport():
-    imported = list(_imported_names(MODULES["__init__.py"]))
-    assert sorted(quadstab.__all__) == sorted(imported)
-    assert [name for name in quadstab.__all__ if not hasattr(quadstab, name)] == []
+# Each module and the quadstab modules a fresh import of it loads: itself,
+# the package, and the package modules it imports.
+OWN_IMPORTS = {
+    "quadstab.geometry": ["quadstab", "quadstab.geometry"],
+    "quadstab.expressions": ["quadstab", "quadstab.expressions", "quadstab.geometry"],
+    "quadstab.lattice": ["quadstab", "quadstab.geometry", "quadstab.lattice"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(OWN_IMPORTS))
+def test_a_fresh_import_loads_only_what_the_module_imports(module):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'quadstab'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == repr(OWN_IMPORTS[module])
 
 
 def _tracer_targets() -> list[str]:
