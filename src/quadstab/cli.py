@@ -82,7 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         ctx = Context(_load_config(args.config))
-        ctx.resolve()
         return _dispatch(args, ctx)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,7 +137,29 @@ class SurfaceDivisor(NamedTuple):
         return f"({self.d},{self.e})"
 
 
-class ChowElement(tuple):
+class _Vector(tuple):
+    """A tuple of coefficients with entrywise vector arithmetic; each result
+    is of the class of its left operand."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return type(self)(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return type(self)(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return type(self)(-x for x in self)
+
+    def scale(self, t):
+        return type(self)(t * x for x in self)
+
+    def is_zero(self) -> bool:
+        return not any(self)
+
+
+class ChowElement(_Vector):
     """A Chow class with the ring relations already applied, as its eight
     exact coefficients in the order c0; H, h, k; Hh, Hk, hk; pt.
 
@@ -153,26 +175,10 @@ class ChowElement(tuple):
     c2 = property(operator.itemgetter(slice(4, 7)))
     c3 = property(operator.itemgetter(7))
 
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        return ChowElement(map(operator.add, self, other))
-
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        return ChowElement(map(operator.sub, self, other))
-
-    def __neg__(self) -> "ChowElement":
-        return ChowElement(-x for x in self)
-
-    def scale(self, t) -> "ChowElement":
-        t = Q(t)
-        return ChowElement(x * t for x in self)
-
     def dual(self) -> "ChowElement":
         """Negate the odd-degree parts (the Chern-character dual)."""
         c0, H, h, k, Hh, Hk, hk, pt = self
         return ChowElement((c0, -H, -h, -k, Hh, Hk, hk, -pt))
-
-    def is_zero(self) -> bool:
-        return not any(self)
 
     @staticmethod
     def constant(t) -> "ChowElement":

@@ -6,9 +6,11 @@ HarnessConfig.from_text reads the INI text in one pass over its lines
 the README states), refuses a section or key it does not know, and parses
 the twist, the charge values and the check selection; validate_config,
 the only code that parses its expressions, checks the rest of the config
-in one pass and returns a ResolvedConfig, from which Context builds its
-objects and hearts.  A check that reads a heart or charge the config does
-not define raises ConfigError, which run_checks lets through.
+in one pass and returns a ResolvedConfig.  Context(config) calls it when it
+is built, so a bad config raises ConfigError there, and builds its objects
+and hearts from the ResolvedConfig.  A check that reads a heart or charge
+the config does not define raises ConfigError, which run_checks lets
+through.
 
 The registry rows, REGISTRY and CHECK_NAMES, live in quadstab.checks.  That
 module is imported on the first read of either name (through this module's
@@ -317,48 +319,41 @@ def validate_config(config: HarnessConfig) -> ResolvedConfig:
 class Context:
     """Runtime objects for one configuration.
 
-    Context(config) never raises: the config is resolved by validate_config
-    on the first call of resolve() or the first access to names, hearts or
-    charges, which raise ConfigError for a bad config.  Named objects are
-    normalized and hearts built from the resolved config, lazily: at twists
-    other than the default one the golden mutation objects need not exist,
-    and the checks that would use them are skipped.  obj(text) parses against
-    the resolved, not yet normalized trees and normalizes the result, so it
-    builds only the names the text uses; names reads every name through
-    obj, so it builds them all and none twice.  obj keeps the normal form it
-    returns per exact text (the names are fixed per Context, so one text
-    always means one tree), and a text that is met again is neither parsed
-    nor normalized again; a text whose parse or build raises is not kept, so
-    it raises again on every call.  Hearts
-    are built once: when the build fails, every read of hearts raises that
-    same error.
+    Context(config) resolves the config by validate_config at once, so a bad
+    config raises ConfigError here.  Named objects are normalized and hearts
+    built from the resolved config, lazily: at twists other than the default
+    one the golden mutation objects need not exist, and the checks that would
+    use them are skipped.  obj(text) parses against the resolved, not yet
+    normalized trees and normalizes the result, so it builds only the names
+    the text uses; names reads every name through obj, so it builds them all
+    and none twice.  obj keeps the normal form it returns per exact text (the
+    names are fixed per Context, so one text always means one tree), and a
+    text that is met again is neither parsed nor normalized again; a text
+    whose parse or build raises is not kept, so it raises again on every
+    call.  Hearts are built once: when the build fails, every read of hearts
+    raises that same error.
     """
 
     def __init__(self, config: HarnessConfig):
         self.config = config
+        self._resolved = validate_config(config)
         self.geometry = Geometry(GeometryConfig(*config.twist))
         self.calc = Calculus(self.geometry)
         self.kt = self.calc.ktheory
-        self._resolved: Optional[ResolvedConfig] = None
         self._objs: dict[str, FormalObject] = {}
         self._hearts: Union[dict[str, Heart], Exception, None] = None
         self._descent: Optional[DescentReport] = None
 
-    def resolve(self) -> ResolvedConfig:
-        if self._resolved is None:
-            self._resolved = validate_config(self.config)
-        return self._resolved
-
     @property
     def names(self) -> dict[str, FormalObject]:
-        return {name: self.obj(name) for name in self.resolve().names}
+        return {name: self.obj(name) for name in self._resolved.names}
 
     @property
     def hearts(self) -> dict[str, Heart]:
         if self._hearts is None:
             hearts: dict[str, Heart] = {}
             try:
-                for name, spec in self.resolve().hearts.items():
+                for name, spec in self._resolved.hearts.items():
                     if isinstance(spec, TiltSpec):
                         hearts[name] = tilt_at(self.calc, hearts[spec.parent], spec.index)
                     else:
@@ -372,11 +367,11 @@ class Context:
 
     @property
     def charges(self) -> dict[str, tuple[str, CentralCharge]]:
-        return self.resolve().charges
+        return self._resolved.charges
 
     def heart(self, name: str) -> Heart:
         """The configured heart of this name; a config without it is at fault."""
-        if name not in self.resolve().hearts:
+        if name not in self._resolved.hearts:
             raise ConfigError(f"unknown heart {name!r}")
         return self.hearts[name]
 
@@ -392,7 +387,7 @@ class Context:
     def obj(self, text: str) -> FormalObject:
         out = self._objs.get(text)
         if out is None:
-            out = self._objs[text] = self.calc.normalize(parse_object(text, self.resolve().names))
+            out = self._objs[text] = self.calc.normalize(parse_object(text, self._resolved.names))
         return out
 
     def sod1_objects(self) -> list[FormalObject]:
@@ -505,7 +500,6 @@ def run_checks(
     ``config`` may be a Context, whose resolved config is then reused.
     """
     ctx = config if isinstance(config, Context) else Context(config or default_config())
-    ctx.resolve()
     config = ctx.config
     if selection is None:
         selection = config.selection

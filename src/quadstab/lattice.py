@@ -26,7 +26,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import ChowElement, DivisorClass, Frozen, Geometry, SurfaceDivisor, Q, _set
+from .geometry import ChowElement, DivisorClass, Frozen, Geometry, SurfaceDivisor, Q, _set, _Vector
 
 
 class LatticeError(Exception):
@@ -257,30 +257,15 @@ SOD1_DIVISORS: tuple[DivisorClass, ...] = (
 )
 
 
-class KClass(tuple):
+class KClass(_Vector):
     """A numerical K-theory class: its eight integer coordinates in the basis
     of line bundles O(D), D in SOD1_DIVISORS, with vector arithmetic."""
 
     __slots__ = ()
 
-    def __add__(self, other: "KClass") -> "KClass":
-        return KClass(map(operator.add, self, other))
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(map(operator.sub, self, other))
-
-    def __neg__(self) -> "KClass":
-        return KClass(-c for c in self)
-
-    def scale(self, t: int) -> "KClass":
-        return KClass(t * c for c in self)
-
     def rank(self) -> int:
         # every basis line bundle has rank one
         return sum(self)
-
-    def is_zero(self) -> bool:
-        return not any(self)
 
 
 def _superset_sums(v: Sequence[int]) -> list[int]:

@@ -104,9 +104,8 @@ class TestConfig:
     def test_context_reports_object_errors(self):
         text = DEFAULT_CONFIG_TEXT.replace("L(OE(-1,0), O(-k))", "L(OE(-1,0), O(-q))")
         cfg = HarnessConfig.from_text(text)
-        ctx = Context(cfg)
         with pytest.raises(ConfigError):
-            ctx.names
+            Context(cfg)
 
     def test_config_errors_precede_checks(self):
         # a broken expression is rejected up front, not inside a check
@@ -119,7 +118,7 @@ class TestConfig:
     def test_typos_are_refused_by_name(self, case):
         text, named = TYPO_CONFIGS[case]
         with pytest.raises(ConfigError, match=re.escape(named)):
-            Context(HarnessConfig.from_text(text)).resolve()
+            Context(HarnessConfig.from_text(text))
 
     def test_charge_length_validated(self):
         text = DEFAULT_CONFIG_TEXT.replace(
@@ -805,9 +804,8 @@ class TestTextMemo:
 
     @staticmethod
     def resolved(config, parsed):
-        """A Context with its config resolved, and the parse log emptied."""
+        """A Context, built with its config resolved, and the parse log emptied."""
         ctx = Context(config)
-        ctx.resolve()
         parsed.clear()
         return ctx
 
@@ -947,15 +945,17 @@ class TestChargesOnTheirHearts:
 def euler_sweep_with_one_entry_moved() -> tuple:
     """Run props.euler-soundness with one oracle entry moved by 1 and every
     query to Calculus.rhom recorded.  Returns the check's verdict and text,
-    the number of queries and whether they came in the sweep's order:
-    atom x atom, named x atom, atom x named, named x named.  It asserts
-    nothing, so it reports the same under ``python -O``."""
+    the number of queries and whether they came in the sweep's order: row
+    by row over the atoms and then G, F and Ecal, each against every object
+    in that order.  It asserts nothing, so it reports the same under
+    ``python -O``."""
     ctx = Context(default_config())
     span = range(-2, 3)
     atoms = [LineAtom(DivisorClass(a, b, c)) for a in span for b in span for c in span]
     atoms += [PushAtom(SurfaceDivisor(d, e)) for d in span for e in span]
     named = [ctx.obj(n) for n in ("G", "F", "Ecal")]  # built before the spy
-    order = [(x, y) for xs, ys in ((atoms, atoms), (named, atoms), (atoms, named), (named, named)) for x in xs for y in ys]
+    objects = atoms + named
+    order = [(x, y) for x in objects for y in objects]
     moved = (atoms.index(PushAtom(SurfaceDivisor(-2, -2))), atoms.index(PushAtom(SurfaceDivisor(-1, -1))))
     queries, depth = [], [0]
     rhom, gram_matrix = Calculus.rhom, KTheory.gram_matrix

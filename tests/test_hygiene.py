@@ -17,7 +17,12 @@ record is a typing.NamedTuple or a slotted geometry.Frozen value.  Only
 quadstab.checks imports dataclasses, and a process that runs no check loads
 neither dataclasses, inspect nor the check registry.  Frozen derives each
 subclass's __init__ and equality from its __slots__, so only the named few
-classes define __init__, __eq__ or __hash__ in their bodies.
+classes define __init__, __eq__ or __hash__ in their bodies.  The package
+holds no floating point, as the README promises: a float literal or a
+random float is drawn only where the random corpus picks a branch, '/'
+divides only in the four functions that divide Fractions, nothing calls
+float(), and the basis determinant and the default charges' slopes are
+Fractions or INFINITY.
 """
 
 import ast
@@ -27,6 +32,7 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -275,3 +281,54 @@ def test_only_the_named_few_frozen_classes_define_init():
         if cls.__module__.startswith("quadstab.") and "__init__" in vars(cls):
             found.add(f"{cls.__module__.split('.')[1]}.{cls.__qualname__}")
     assert found == OWN_INIT
+
+
+# Where a float may appear: the corpus generator draws rng.random() and
+# compares it with float literals to pick a branch.  Where '/' may divide:
+# on Fractions, in the rational eliminations, the basis determinant and the
+# slope of a charge.
+FLOAT_SITES = {"checks._random_expression", "checks._random_expression.atom"}
+DIVISION_SITES = {
+    "lattice.rational_inverse",
+    "lattice.solve_rational",
+    "lattice.KTheory.basis_determinant",
+    "stability.slope",
+}
+
+
+def _numeric_sites() -> dict[str, set[str]]:
+    """The dotted def scope of each float literal or rng.random() call, each
+    '/' and each float() call in the package, by kind."""
+    found: dict[str, set[str]] = {"float": set(), "division": set(), "float()": set()}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Constant) and isinstance(child.value, (float, complex)):
+                found["float"].add(scope)
+            elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "random":
+                found["float"].add(scope)
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
+                found["float()"].add(scope)
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found["division"].add(scope)
+            visit(child, inner)
+
+    for name, tree in MODULES.items():
+        visit(tree, Path(name).stem)
+    return found
+
+
+def test_no_floating_point():
+    from quadstab.harness import Context, default_config
+    from quadstab.stability import INFINITY, slope
+
+    assert _numeric_sites() == {"float": FLOAT_SITES, "division": DIVISION_SITES, "float()": set()}
+    ctx = Context(default_config())
+    values = [ctx.kt.basis_determinant()]
+    for _, Z in ctx.charges.values():
+        n = len(Z)
+        values += [slope(Z, [int(i == j) for j in range(n)]) for i in range(n)] + [slope(Z, [1] * n)]
+    assert [v for v in values if v is not INFINITY and type(v) is not Fraction] == []

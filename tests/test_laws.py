@@ -23,18 +23,24 @@ value for every pair.
 The laws run on the benchmark's recorded pool of 1,000 pairs and on all
 pairs of the distinct normal forms of the harness corpus; every rule is also
 consulted on the pairs of the props.euler-soundness sweep.
+
+Query order: the sweep reports the same mismatch and determined counts when
+its objects come forward, reversed or shuffled, each on a fresh Context, at
+four twists, so no value depends on what the memo held before.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from quadstab import checks
 from quadstab.calculus import Calculus, CopyLimitError, PreconditionError, SoundnessError
 from quadstab.expressions import Cone, LineAtom, PushAtom, Shift, Sum, Zero, parse_object
 from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.checks import _corpus, _sweep_objects
-from quadstab.harness import Context, default_config
+from quadstab.harness import DEFAULT_CONFIG_TEXT, Context, HarnessConfig, default_config
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "rhom_pool.json"
 
@@ -82,7 +88,7 @@ def sweep():
     """One shared Context and the 23,409 pairs props.euler-soundness queries:
     150 atoms and G, F, Ecal at the default twist, each against each."""
     ctx = Context(default_config())
-    objects, _ = _sweep_objects(ctx)
+    objects = _sweep_objects(ctx)
     pairs = [(x, y) for x in objects for y in objects]
     return ctx.calc, pairs, _values(ctx.calc, pairs)
 
@@ -234,3 +240,21 @@ def test_every_rule_agrees_with_the_first_determined(pairs_of, request):
         if other != value
     ]
     assert moved == []
+
+
+ORDERS = {
+    "forward": lambda objects: objects,
+    "reversed": lambda objects: objects[::-1],
+    "shuffled": lambda objects: random.Random(1789).sample(objects, len(objects)),
+}
+
+
+@pytest.mark.parametrize("twist", ["-1,-1", "0,0", "-2,0", "1,-2"])
+def test_the_sweep_counts_do_not_depend_on_the_object_order(twist, monkeypatch):
+    config = HarnessConfig.from_text(DEFAULT_CONFIG_TEXT.replace("twist = -1,-1", f"twist = {twist}"))
+    texts = {}
+    for order, arrange in ORDERS.items():
+        monkeypatch.setattr(checks, "_sweep_objects", lambda ctx: arrange(_sweep_objects(ctx)))
+        ok, texts[order] = checks._check_props_euler(Context(config))
+    assert ok
+    assert len(set(texts.values())) == 1, texts

@@ -347,6 +347,24 @@ class TestDescent:
         if report.induced_strong.ok:
             assert _strong_on_nonzero_images(report)
 
+    @pytest.mark.parametrize(
+        "values, offenders",
+        [
+            ([I, (1, 1), (0, 2)], [0, 1]),
+            ([I, (1, 1), I], [1]),
+            ([I, (0, 0), (0, 2)], [0]),
+        ],
+    )
+    def test_a_charge_off_the_kernel_is_named_per_simple(self, ctx, heart_A, values, offenders):
+        # Z does not vanish on the kernel exactly when some simple's image
+        # has another induced charge; each such simple is named once
+        report = descend(ctx.calc, heart_A, ctx.kernel_classes(), CentralCharge.of(values))
+        assert not report.induced_strong.ok
+        assert report.induced_strong.detail.split("; ") == [
+            f"induced charge disagrees with Z on simple {heart_A.labels[i]}" for i in offenders
+        ]
+        assert "does not vanish" not in report.induced_strong.detail
+
     def test_default_descent_is_strong_on_every_nonzero_image(self, ctx):
         report = ctx.descent()
         assert report.induced_strong.ok and _strong_on_nonzero_images(report)
