@@ -18,20 +18,19 @@ nodes, and an integer or a divisor coefficient larger than MAX_COEFFICIENT
 in absolute value, are rejected with a ParseError.
 
 Nodes are immutable slotted geometry.Frozen values, built from their fields
-in __slots__ order (no generated code, so importing this module stays
-cheap): a node equals only a node of its own class with equal fields, and
-its repr is the dataclass text.  Each node computes its hash once, on first
-use, from its class name and fields, and keeps it in the shared `_hash`
-slot, so hashing a tree (as every memo lookup of the calculus does) is O(1)
-after the first time, not a walk over the whole tree.  The hash is the same
-in every process run at one PYTHONHASHSEED.
+in __slots__ order; their repr is the dataclass text.  Nodes are hash-consed
+through one process-wide table, keyed by class and fields and never emptied
+(a one-shot CLI process does not notice): equal trees are one object, so a
+node takes object's identity equality and hash, and every memo lookup of the
+calculus hashes and compares in C.  Identity hashes differ between
+processes, so no output may depend on them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .geometry import DivisorClass, Frozen, SurfaceDivisor, _set
+from .geometry import DivisorClass, Frozen, SurfaceDivisor
 
 
 class ParseError(Exception):
@@ -46,22 +45,26 @@ class ParseError(Exception):
         self.position = position
 
 
-class FormalObject(Frozen):
-    """Base class for expression-tree nodes: the hash of (class name,
-    *fields), computed on first use and then kept in the `_hash` slot."""
+_NODES: dict[tuple, "FormalObject"] = {}  # every node built, by (class, *fields)
 
-    __slots__ = ("_hash",)
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            # hash(None) is the address of None on Python 3.11, so the None
-            # of a cone without a mutation is hashed as 0: the same node then
-            # hashes alike in every process (at one PYTHONHASHSEED)
-            h = hash((type(self).__name__, *[0 if v is None else v for v in self._values()]))
-            _set(self, "_hash", h)
-            return h
+class _HashConsed(type):
+    def __call__(cls, *fields):
+        """The node with these fields, built only if there is none yet."""
+        if cls is Cone:  # a cone built without provenance and mutation
+            fields += ("unspecified", None)[len(fields) - 2 :]
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:  # setdefault: two threads that build one node get one
+            node = _NODES.setdefault(key, super().__call__(*fields))
+        return node
+
+
+class FormalObject(Frozen, metaclass=_HashConsed):
+    """Base class of the hash-consed expression-tree nodes: equality is identity."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__  # and object's __eq__, which Frozen then keeps
 
 
 class Zero(FormalObject):
@@ -109,15 +112,12 @@ class MutateRightNode(FormalObject):
 
 class Cone(FormalObject):
     """Third vertex of the triangle source -> target -> cone -> source[1];
-    source, target: FormalObject, provenance: str.
+    source, target: FormalObject, provenance: str ("unspecified" if omitted).
 
     `mutation` is the L or R node (MutateLeftNode | MutateRightNode) the
-    cone evaluates, if it is one, and None otherwise."""
+    cone evaluates, if it is one, and None (the default) otherwise."""
 
     __slots__ = ("source", "target", "provenance", "mutation")
-
-    def __init__(self, source, target, provenance="unspecified", mutation=None):
-        Frozen.__init__(self, source, target, provenance, mutation)
 
 
 # The words that take two objects, each with the class whose first two
@@ -191,7 +191,7 @@ class _Parser:
         self.names = names or {}
         self.depth = 0
         self.nodes = 0
-        self.measures: dict[int, tuple[int, int]] = {}
+        self.measures: dict[FormalObject, tuple[int, int]] = {}
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -298,17 +298,15 @@ class _Parser:
     def measure(self, x: FormalObject) -> tuple[int, int]:
         """The depth and the node count of x, a shared subtree counted at
         each place it occurs; computed once per distinct node, since a walk
-        that expands shared subtrees takes exponential time.  Nodes are keyed
-        by identity: the named trees outlive the parser, and hashing a tree
-        not hashed before would walk all of it."""
-        out = self.measures.get(id(x))
+        that expands shared subtrees takes exponential time."""
+        out = self.measures.get(x)
         if out is None:
             depth = nodes = 0
             for child in _children(x):
                 d, n = self.measure(child)
                 depth = max(depth, d)
                 nodes += n
-            out = self.measures[id(x)] = (depth + 1, nodes + 1)
+            out = self.measures[x] = (depth + 1, nodes + 1)
         return out
 
     def _parse_node(self) -> FormalObject:

@@ -35,15 +35,17 @@ class Frozen:
     """Slotted base of immutable values.  The fields of a value are the
     __slots__ of its class: __init__ takes them positionally in that order
     and sets each once through _set.  A value equals only a value of its own
-    class with equal fields, and hashes as its field tuple; repr prints the
-    fields as a dataclass would.  Each subclass is given its __eq__ here,
-    from its own __slots__, so it states its fields once and defines no
-    __init__, __eq__ or __hash__ of its own."""
+    class with equal fields and hashes as its field tuple, unless its class
+    takes object's identity hash (the nodes); repr prints it as a dataclass.
+    Each subclass is given its __eq__ here, from its own __slots__, so it
+    states its fields once and defines no __init__, __eq__ or __hash__."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if cls.__hash__ is object.__hash__:
+            return
         get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else (lambda value: ())
 
         def __eq__(self, other):

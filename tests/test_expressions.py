@@ -1,9 +1,11 @@
 import copy
+import json
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,8 @@ from quadstab.expressions import (
 )
 
 D = DivisorClass
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+POOL, GOLDEN_REPORT = GOLDEN / "rhom_pool.json", GOLDEN / "report.json"
 
 
 class TestParser:
@@ -233,9 +237,9 @@ class TestNodes:
 
     def test_equal_trees_have_equal_hashes(self):
         a, b = _all_kinds(), _all_kinds()
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b and a == b and hash(a) == hash(b)
         text = "cone(L(O(),shift(OE(1,2),3)),sum(R(O(h),O()),zero()))"
-        assert hash(parse_object(text)) == hash(parse_object(text))
+        assert parse_object(text) is parse_object(text)
 
     def test_hash_distinguishes_node_classes(self):
         e, x = LineAtom(D(0, 0, 0)), LineAtom(D(0, 1, 0))
@@ -248,11 +252,19 @@ class TestNodes:
         for _ in range(3):
             assert {id(n): hash(n) for n in _nodes(tree)} == first
 
-    def test_hash_is_kept_on_the_node(self):
-        tree = _all_kinds()
-        hash(tree)
-        for node in _nodes(tree):
-            assert node._hash == hash(node)
+    def test_hash_is_the_identity_hash(self):
+        for node in _nodes(_all_kinds()):
+            assert "_hash" not in type(node).__slots__
+            assert hash(node) == object.__hash__(node)
+            assert type(node).__eq__ is object.__eq__
+
+    def test_a_cone_is_given_its_defaults_before_the_lookup(self):
+        x, y = LineAtom(D(0, 0, 0)), LineAtom(D(0, 1, 0))
+        assert Cone(x, y) is Cone(x, y, "unspecified") is Cone(x, y, "unspecified", None)
+        assert Cone(x, y, "evaluation") is not Cone(x, y)
+        for fields in ((x,), (x, y, "unspecified", None, None)):
+            with pytest.raises(TypeError):
+                Cone(*fields)
 
     def test_fields_are_frozen(self):
         for node in _nodes(_all_kinds()):
@@ -260,29 +272,58 @@ class TestNodes:
                 with pytest.raises(AttributeError):
                     setattr(node, name, None)
 
+    def test_threads_that_build_one_node_get_one_object(self):
+        # trees not built before, each built by every thread at once
+        def build(out):
+            out.extend(Shift(Cone(LineAtom(D(k, 7919, -7919)), Zero()), k) for k in range(2000))
+
+        outs = [[] for _ in range(4)]
+        threads = [threading.Thread(target=build, args=(out,)) for out in outs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 2000 for out in outs)
+        assert all(x is y for out in outs[1:] for x, y in zip(outs[0], out))
+
     def test_copy_and_pickle_rebuild_equal_trees(self):
         tree = _all_kinds()
         for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-            assert copied == tree and hash(copied) == hash(tree)
+            assert copied is tree
 
-    def test_hashes_agree_between_processes(self):
-        # a cone parsed from text has no mutation, and hash(None) is an
-        # address on Python 3.11, which can differ between processes
+    def test_outputs_do_not_depend_on_node_hashes(self, tmp_path):
+        # node hashes are addresses, different in every process; the JSON
+        # report and rhom/mutate on pool texts must not see them
         script = (
-            "from quadstab.expressions import parse_object\n"
-            "from quadstab.harness import Context, default_config\n"
-            "print(hash(parse_object('cone(O(),O(h))')))\n"
-            "print(sorted((n, hash(x)) for n, x in Context(default_config()).names.items()))\n"
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from quadstab.cli import main\n"
+            "from quadstab.harness import DEFAULT_TWIST, default_config, emit_report, run_checks\n"
+            "out, texts = Path(sys.argv[1]), sys.argv[2:]\n"
+            "out.write_text(emit_report(run_checks(default_config()), 'json', DEFAULT_TWIST) + '\\n')\n"
+            "print(main(['report']))\n"
+            "for x, y in zip(texts, texts[1:]):\n"
+            "    print(main(['rhom', x, y]), main(['mutate', 'L', x, y]), main(['mutate', 'R', x, y]))\n"
         )
+        texts = json.loads(POOL.read_text(encoding="utf-8"))["expressions"][:8]
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
-        outs = [
-            subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
-            ).stdout
-            for _ in range(2)
-        ]
-        assert outs[0] == outs[1]
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            report = tmp_path / f"report-{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(report), *texts],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            runs.append((proc.stdout, proc.stderr, report.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == GOLDEN_REPORT.read_bytes()
 
     def test_nodes_have_no_dict(self):
         for node in _nodes(_all_kinds()):

@@ -825,12 +825,14 @@ class TestTextMemo:
         assert parsed == ["G", "G"]
         assert ctx._objs == {}
 
-    def test_two_contexts_share_nothing(self, parsed):
+    def test_two_contexts_parse_apart_and_get_one_node(self, parsed):
+        # the memos are per Context; only the hash-consed nodes are shared
         one = self.resolved(default_config(), parsed)
         other = self.resolved(default_config(), parsed)
         x, y = one.obj(self.TEXT), other.obj(self.TEXT)
-        assert x == y and x is not y
+        assert x is y
         assert parsed == [self.TEXT, self.TEXT]
+        assert one._objs is not other._objs and one.calc._norm_memo is not other.calc._norm_memo
 
 
 class TestBrokenHeart:

@@ -207,7 +207,8 @@ def test_every_tracer_target_resolves():
 # The only class that stays a dataclass: the benchmark's tracer calls
 # dataclasses.replace on the Check rows of the registry.  The expression
 # nodes, Heart, CentralCharge and IntegerLattice are slotted Frozen values;
-# Frozen derives their __init__, equality and hash.
+# Frozen derives their __init__, and the equality and hash of all but the
+# hash-consed nodes.
 DATACLASSES = {"checks.Check"}
 
 
@@ -230,9 +231,9 @@ def test_dataclasses_are_only_the_named_few():
 
 # The classes whose bodies bind __eq__ or __hash__.  Frozen gives each
 # subclass an __eq__ built from its __slots__, and so would silently replace
-# one written in a subclass body; FormalObject keeps its hash cached in a
-# slot; and GradedDims compares its dict of dimensions and ignores its cached
-# Euler number.
+# one written in a subclass body; FormalObject takes object's identity
+# equality and hash, since its nodes are hash-consed; and GradedDims compares
+# its dict of dimensions and ignores its cached Euler number.
 OWN_EQUALITY = {"geometry.Frozen", "expressions.FormalObject", "geometry.GradedDims"}
 
 
@@ -263,9 +264,10 @@ def test_only_the_named_few_classes_state_their_equality():
 
 # The Frozen classes whose bodies define __init__.  Frozen.__init__ takes the
 # fields in __slots__ order, the order __reduce__ rebuilds a value from;
-# Cone gives its last two fields defaults, and IntegerLattice builds its HNF
-# from generator rows (its HNF rows rebuild the same HNF).
-OWN_INIT = {"expressions.Cone", "lattice.IntegerLattice"}
+# IntegerLattice builds its HNF from generator rows (its HNF rows rebuild the
+# same HNF).  A Cone's defaults are filled in by the node table, before the
+# lookup.
+OWN_INIT = {"lattice.IntegerLattice"}
 
 
 def test_only_the_named_few_frozen_classes_define_init():

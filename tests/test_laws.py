@@ -24,12 +24,18 @@ The laws run on the benchmark's recorded pool of 1,000 pairs and on all
 pairs of the distinct normal forms of the harness corpus; every rule is also
 consulted on the pairs of the props.euler-soundness sweep.
 
+Hash-consing: a node equals another only if it is that node, on every path
+that builds one (parsing, normalizing, twisting, tilting a heart, copying and
+pickling), across Contexts: two nodes of one structure are one object.
+
 Query order: the sweep reports the same mismatch and determined counts when
 its objects come forward, reversed or shuffled, each on a fresh Context, at
 four twists, so no value depends on what the memo held before.
 """
 
+import copy
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -37,7 +43,7 @@ import pytest
 
 from quadstab import checks
 from quadstab.calculus import Calculus, CopyLimitError, PreconditionError, SoundnessError
-from quadstab.expressions import Cone, LineAtom, PushAtom, Shift, Sum, Zero, parse_object
+from quadstab.expressions import Cone, FormalObject, LineAtom, PushAtom, Shift, Sum, Zero, parse_object
 from quadstab.geometry import DivisorClass, SurfaceDivisor
 from quadstab.checks import _corpus, _sweep_objects
 from quadstab.harness import DEFAULT_CONFIG_TEXT, Context, HarnessConfig, default_config
@@ -258,3 +264,49 @@ def test_the_sweep_counts_do_not_depend_on_the_object_order(twist, monkeypatch):
         ok, texts[order] = checks._check_props_euler(Context(config))
     assert ok
     assert len(set(texts.values())) == 1, texts
+
+
+def _structures(roots):
+    """Every node reachable from roots (mutation records included), each
+    with a number that only nodes of one structure share: class and fields,
+    with the children numbered first, computed without node equality."""
+    numbers, table, nodes = {}, {}, []
+
+    def number(x):
+        n = numbers.get(id(x))
+        if n is None:
+            fields = []
+            for name in x.__slots__:
+                value = getattr(x, name)
+                if isinstance(value, FormalObject):
+                    value = number(value)
+                elif type(value) is tuple:  # the children of a sum
+                    value = tuple(number(c) for c in value)
+                fields.append(value)
+            n = numbers[id(x)] = table.setdefault((type(x), *fields), len(table))
+            nodes.append(x)
+        return n
+
+    for root in roots:
+        number(root)
+    return [(numbers[id(x)], x) for x in nodes]
+
+
+def test_equal_nodes_are_identical_on_every_construction_path():
+    texts = json.loads(POOL.read_text(encoding="utf-8"))["expressions"]
+    roots = []
+    for ctx in (Context(default_config()), Context(default_config())):
+        names = ctx.names
+        parsed = [parse_object(text, names) for text in texts]
+        normal = [ctx.obj(text) for text in texts]
+        twisted = [ctx.calc.tensor_line(x, D) for x in normal for D in TWISTS]
+        simples = [x for heart in ctx.hearts.values() for x in heart.simples]
+        roots += parsed + normal + twisted + simples
+    roots += [copied(x) for x in roots[: 2 * len(texts)] for copied in (copy.copy, copy.deepcopy)]
+    roots += pickle.loads(pickle.dumps(roots[: 2 * len(texts)]))
+    first = {}
+    for n, x in _structures(roots):
+        y = first.setdefault(n, x)
+        assert x is y and x == y, f"two objects of one structure: {x!r}"
+    # nodes of distinct structures are unequal: none is lost from a dict
+    assert len(dict.fromkeys(first.values())) == len(first)
