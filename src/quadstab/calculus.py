@@ -44,9 +44,16 @@ RHom(S (x) omega, Y (x) omega) = RHom(S, Y) by twist invariance, and the
 direct side of the same query computes RHom(S, Y) as its own LES
 sub-query; likewise for a cone in the other argument.
 Beside them the Calculus memoizes per node its K-class, its twists by a
-line bundle, its presentations and its normal form, so a tree shared by
-many queries (a named object, a Serre-twisted argument) is walked once; a
-normalization that raises is not kept, so it raises again on the next call.
+line bundle, its presentations, its normal form and, for a sum, its distinct
+children with their multiplicities, so a tree shared by many queries (a
+named object, a Serre-twisted argument) is walked once and a sum is grouped
+once however often it is unfolded; a normalization that raises is not kept,
+so it raises again on the next call.
+
+Every walk over the node kinds reads a node's exact class (type(x) is Cone),
+never isinstance: the eight node classes are final and hash-consed
+(expressions.py), so a node's class is its kind and equal nodes are one
+object, which also lets two unshifted nodes be compared by identity alone.
 
 Ambiguity is a value, never a silent guess; every returned Euler number is
 recomputed independently as the K-theory pairing x^T G y, with G the integer
@@ -211,7 +218,9 @@ _ZERO = RHomResult.exact(GradedDims())
 _NO_RANK = GradedDims()  # the least rank of an LES map: none in any degree
 
 
-_ATOMS = (LineAtom, PushAtom)
+# Node kinds, read with type(x): every node class is final (expressions.py)
+_ATOMS = frozenset({LineAtom, PushAtom})
+_LEAVES = frozenset({Zero, LineAtom, PushAtom})  # each its own normal form
 
 _H = DivisorClass(0, 1, 0)
 _K = DivisorClass(0, 0, 1)
@@ -230,6 +239,7 @@ class Calculus:
         self._twist_memo: dict[tuple[FormalObject, DivisorClass], FormalObject] = {}
         self._pres_memo: dict[FormalObject, tuple] = {}
         self._norm_memo: dict[FormalObject, FormalObject] = {}
+        self._group_memo: dict[Sum, tuple[tuple[FormalObject, int], ...]] = {}
 
     # ------------------------------------------------------------------
     # classes
@@ -240,23 +250,24 @@ class Calculus:
         if cached is not None:
             return cached
         kt = self.ktheory
-        if isinstance(x, Zero):
+        kind = type(x)
+        if kind is Zero:
             out = kt.unit() - kt.unit()
-        elif isinstance(x, LineAtom):
+        elif kind is LineAtom:
             out = kt.line_class(x.divisor)
-        elif isinstance(x, PushAtom):
+        elif kind is PushAtom:
             out = kt.pushforward_class(x.beta)
-        elif isinstance(x, Shift):
+        elif kind is Shift:
             out = self.class_of(x.child).scale((-1) ** (x.n % 2))
-        elif isinstance(x, Sum):
+        elif kind is Sum:
             out = kt.unit() - kt.unit()
             for c in x.children:
                 out = out + self.class_of(c)
-        elif isinstance(x, Cone):
+        elif kind is Cone:
             out = self.class_of(x.target) - self.class_of(x.source)
-        elif isinstance(x, MutateLeftNode):
+        elif kind is MutateLeftNode:
             out = kt.mutate_class_left(self.class_of(x.e), self.class_of(x.x))
-        elif isinstance(x, MutateRightNode):
+        elif kind is MutateRightNode:
             out = kt.mutate_class_right(self.class_of(x.x), self.class_of(x.e))
         else:
             raise TypeError(f"no class for {x!r}")
@@ -269,21 +280,22 @@ class Calculus:
         Twists are memoized per (node, D), so a subtree shared by many
         twisted trees (as in repeated Serre transports) is twisted once.
         """
-        if D == DivisorClass(0, 0, 0) or isinstance(x, Zero):
+        kind = type(x)
+        if D == DivisorClass(0, 0, 0) or kind is Zero:
             return x
         key = (x, D)
         cached = self._twist_memo.get(key)
         if cached is not None:
             return cached
-        if isinstance(x, LineAtom):
+        if kind is LineAtom:
             out = LineAtom(x.divisor + D)
-        elif isinstance(x, PushAtom):
+        elif kind is PushAtom:
             out = PushAtom(x.beta + self.geometry.restrict_to_E(D))
-        elif isinstance(x, Shift):
+        elif kind is Shift:
             out = Shift(self.tensor_line(x.child, D), x.n)
-        elif isinstance(x, Sum):
+        elif kind is Sum:
             out = Sum(tuple(self.tensor_line(c, D) for c in x.children))
-        elif isinstance(x, Cone):
+        elif kind is Cone:
             # twisting by a line bundle is an equivalence, canonicity survives
             out = Cone(
                 self.tensor_line(x.source, D),
@@ -291,9 +303,9 @@ class Calculus:
                 x.provenance,
                 None if x.mutation is None else self.tensor_line(x.mutation, D),
             )
-        elif isinstance(x, (MutateLeftNode, MutateRightNode)):
+        elif kind is MutateLeftNode or kind is MutateRightNode:
             # L_e x (x) O(D) = L_{e(D)} x(D), and likewise for R
-            out = type(x)(*(self.tensor_line(c, D) for c in pair(x)))
+            out = kind(*(self.tensor_line(c, D) for c in pair(x)))
         else:
             raise TypeError(f"cannot twist {x!r}")
         self._twist_memo[key] = out
@@ -305,7 +317,7 @@ class Calculus:
 
     def normalize(self, x: FormalObject) -> FormalObject:
         """The normal form of x, memoized per node; a failure is not kept."""
-        if isinstance(x, (Zero, LineAtom, PushAtom)):
+        if type(x) in _LEAVES:
             return x
         out = self._norm_memo.get(x)
         if out is None:
@@ -313,15 +325,16 @@ class Calculus:
         return out
 
     def _normalize(self, x: FormalObject) -> FormalObject:
-        if isinstance(x, Shift):
+        kind = type(x)
+        if kind is Shift:
             return shifted(self.normalize(x.child), x.n)
-        if isinstance(x, Sum):
+        if kind is Sum:
             flat: list[FormalObject] = []
             for c in x.children:
                 c = self.normalize(c)
-                if isinstance(c, Zero):
+                if type(c) is Zero:
                     continue
-                if isinstance(c, Sum):
+                if type(c) is Sum:
                     flat.extend(c.children)
                 else:
                     flat.append(c)
@@ -330,19 +343,19 @@ class Calculus:
             if len(flat) == 1:
                 return flat[0]
             return Sum(tuple(flat))
-        if isinstance(x, Cone):
+        if kind is Cone:
             src = self.normalize(x.source)
             tgt = self.normalize(x.target)
-            if isinstance(src, Zero):
+            if type(src) is Zero:
                 return tgt
-            if isinstance(tgt, Zero):
+            if type(tgt) is Zero:
                 return shifted(src, 1)
             if src == x.source and tgt == x.target:
                 return x
             return Cone(src, tgt, x.provenance, x.mutation)
-        if isinstance(x, MutateLeftNode):
+        if kind is MutateLeftNode:
             return self.mutate_left(x.e, x.x)
-        if isinstance(x, MutateRightNode):
+        if kind is MutateRightNode:
             return self.mutate_right(x.x, x.e)
         raise TypeError(f"cannot normalize {x!r}")
 
@@ -389,11 +402,12 @@ class Calculus:
     def _termwise(self, x: FormalObject, mutate) -> Optional[FormalObject]:
         """A mutation is exact: it keeps zero and commutes with shifts and
         sums.  Applies `mutate` to the parts of such an x; None otherwise."""
-        if isinstance(x, Zero):
+        kind = type(x)
+        if kind is Zero:
             return x
-        if isinstance(x, Shift):
+        if kind is Shift:
             return shifted(mutate(x.child), x.n)
-        if isinstance(x, Sum):
+        if kind is Sum:
             return self.normalize(Sum(tuple(mutate(c) for c in x.children)))
         return None
 
@@ -409,21 +423,21 @@ class Calculus:
 
         tag = MutateLeftNode(e, x)
         g = self.geometry
-        if isinstance(e, LineAtom):
+        if type(e) is LineAtom:
             D = e.divisor
             E = g.exceptional_divisor_class()
             if (
-                isinstance(x, PushAtom)
+                type(x) is PushAtom
                 and x.beta == g.restrict_to_E(D)
                 and r == GradedDims.single(0, 1)
             ):
                 # restriction sequence O(D-E) -> O(D) -> O_E(D)
                 return shifted(LineAtom(D - E), 1)
-            if isinstance(x, LineAtom) and r == GradedDims.single(0, 1):
+            if type(x) is LineAtom and r == GradedDims.single(0, 1):
                 if x.divisor - D == E:
                     # co-restriction: cone of the canonical section of O(E)
                     return PushAtom(g.restrict_to_E(x.divisor))
-            if isinstance(x, LineAtom) and r == GradedDims({0: 2}):
+            if type(x) is LineAtom and r == GradedDims({0: 2}):
                 diff = x.divisor - D
                 for ruling in (_H, _K):
                     if diff == ruling:
@@ -445,7 +459,7 @@ class Calculus:
                                 "euler",
                                 tag,
                             )
-        if isinstance(x, Cone):
+        if type(x) is Cone:
             try:
                 src = self._mutate_left(e, x.source)
                 tgt = self._mutate_left(e, x.target)
@@ -477,8 +491,8 @@ class Calculus:
             return x
         if self._same_up_to_shift(x, e) is not None:
             return Zero()
-        inner = x.mutation if isinstance(x, Cone) else None
-        if isinstance(inner, MutateLeftNode) and inner.e == e and self.rhom(inner.x, e).is_empty():
+        inner = x.mutation if type(x) is Cone else None
+        if type(inner) is MutateLeftNode and inner.e == e and self.rhom(inner.x, e).is_empty():
             # inverse equivalence: R_e L_e y = y for y left-orthogonal to e
             return inner.x
         cone = Cone(x, self.copies(e, r, +1), "evaluation", MutateRightNode(x, e))
@@ -490,7 +504,7 @@ class Calculus:
 
     def rhom(self, X: FormalObject, Y: FormalObject) -> RHomResult:
         # an atom is its own normal form
-        if isinstance(X, _ATOMS) and isinstance(Y, _ATOMS):
+        if type(X) in _ATOMS and type(Y) in _ATOMS:
             return self._atom_info(X, Y)
         return self._info(self.normalize(X), self.normalize(Y))
 
@@ -514,22 +528,23 @@ class Calculus:
         in the order of first occurrence, and that child's value is scaled
         by its multiplicity.
         """
-        if isinstance(X, _ATOMS) and isinstance(Y, _ATOMS):
+        kx, ky = type(X), type(Y)
+        if kx in _ATOMS and ky in _ATOMS:
             return self._atom_info(X, Y)
-        if isinstance(X, Zero) or isinstance(Y, Zero):
+        if kx is Zero or ky is Zero:
             return _ZERO
-        if isinstance(X, Shift):
+        if kx is Shift:
             return self._info(X.child, Y, transport).translate(X.n)
-        if isinstance(Y, Shift):
+        if ky is Shift:
             return self._info(X, Y.child, transport).translate(-Y.n)
-        if isinstance(X, Sum):
+        if kx is Sum:
             total = _ZERO
-            for c, m in Counter(X.children).items():
+            for c, m in self._groups(X):
                 total = total.add(self._info(c, Y, transport).scale(m))
             return total
-        if isinstance(Y, Sum):
+        if ky is Sum:
             total = _ZERO
-            for c, m in Counter(Y.children).items():
+            for c, m in self._groups(Y):
                 total = total.add(self._info(X, c, transport).scale(m))
             return total
 
@@ -545,6 +560,14 @@ class Calculus:
         finally:
             self._stack.discard(key)
         return info
+
+    def _groups(self, s: Sum) -> tuple[tuple[FormalObject, int], ...]:
+        """The distinct children of s with their multiplicities, in the
+        order of first occurrence; counted once per node."""
+        groups = self._group_memo.get(s)
+        if groups is None:
+            groups = self._group_memo[s] = tuple(Counter(s.children).items())
+        return groups
 
     def _euler(self, X: FormalObject, Y: FormalObject) -> int:
         return self.ktheory.euler_pairing(self.class_of(X), self.class_of(Y))
@@ -608,15 +631,15 @@ class Calculus:
         ints, e.g. ("line-line", dH, dh, dk); restriction to E keeps the h
         and k coefficients.  The divisor objects are built only on a miss.
         """
-        if isinstance(X, LineAtom):
+        if type(X) is LineAtom:
             xH, xh, xk = X.divisor
-            if isinstance(Y, LineAtom):
+            if type(Y) is LineAtom:
                 yH, yh, yk = Y.divisor
                 key = ("line-line", yH - xH, yh - xh, yk - xk)
             else:
                 yd, ye = Y.beta
                 key = ("line-push", yd - xh, ye - xk)
-        elif isinstance(Y, LineAtom):
+        elif type(Y) is LineAtom:
             xd, xe = X.beta
             _, yh, yk = Y.divisor
             key = ("push-line", xd - yh, xe - yk)
@@ -653,28 +676,30 @@ class Calculus:
 
     @staticmethod
     def _same_up_to_shift(x: FormalObject, y: FormalObject) -> Optional[int]:
+        if type(x) is not Shift and type(y) is not Shift:
+            return 0 if x is y else None
         xc, xs = strip_shift(x)
         yc, ys = strip_shift(y)
         return ys - xs if xc == yc else None
 
     def _mutation_orthogonality(self, X: FormalObject, Y: FormalObject) -> bool:
-        if isinstance(Y, Cone) and isinstance(Y.mutation, MutateLeftNode):
+        if type(Y) is Cone and type(Y.mutation) is MutateLeftNode:
             if self._same_up_to_shift(Y.mutation.e, X) is not None:
                 return True
-        if isinstance(X, Cone) and isinstance(X.mutation, MutateRightNode):
+        if type(X) is Cone and type(X.mutation) is MutateRightNode:
             if self._same_up_to_shift(X.mutation.e, Y) is not None:
                 return True
         return False
 
     def _adjunction_info(self, X: FormalObject, Y: FormalObject) -> Optional[RHomResult]:
-        if not (isinstance(X, Cone) and isinstance(Y, Cone)):
+        if type(X) is not Cone or type(Y) is not Cone:
             return None
         mx, my = X.mutation, Y.mutation
         if mx is None or type(mx) is not type(my) or mx.e != my.e:
             return None
         # RHom(L_e x, L_e y) = RHom(x, y) provided RHom(x, e) = 0, and
         # RHom(R_e x, R_e y) = RHom(x, y) provided RHom(e, y) = 0
-        if isinstance(mx, MutateLeftNode):
+        if type(mx) is MutateLeftNode:
             side = self._info(mx.x, mx.e)
         else:
             side = self._info(my.e, my.x)
@@ -686,14 +711,14 @@ class Calculus:
         """The cones the LES rules expand for x: none when x is no cone, else
         x and, for a left mutation L_e y with RHom(e, y) determined and
         nonzero, its evaluation cone RHom(e, y) (x) e -> y.  Memoized."""
-        if not isinstance(x, Cone):
+        if type(x) is not Cone:
             return ()
         cached = self._pres_memo.get(x)
         if cached is not None:
             return cached
         forms: list[Cone] = [x]
         tag = x.mutation
-        if isinstance(tag, MutateLeftNode):
+        if type(tag) is MutateLeftNode:
             r = self.rhom(tag.e, tag.x)
             if r.determined and not r.is_empty():
                 forms.append(Cone(self.copies(tag.e, r.dims, -1), tag.x, "evaluation", tag))

@@ -23,7 +23,9 @@ through one process-wide table, keyed by class and fields and never emptied
 (a one-shot CLI process does not notice): equal trees are one object, so a
 node takes object's identity equality and hash, and every memo lookup of the
 calculus hashes and compares in C.  Identity hashes differ between
-processes, so no output may depend on them.
+processes, so no output may depend on them.  Each node class is final (a
+subclass of one raises TypeError), so code reads a node's kind from its exact
+class, type(x) is Shift, which compares two pointers and calls no function.
 """
 
 from __future__ import annotations
@@ -61,10 +63,19 @@ class _HashConsed(type):
 
 
 class FormalObject(Frozen, metaclass=_HashConsed):
-    """Base class of the hash-consed expression-tree nodes: equality is identity."""
+    """Base class of the hash-consed expression-tree nodes: equality is
+    identity, and each node class is final."""
 
     __slots__ = ()
     __hash__ = object.__hash__  # and object's __eq__, which Frozen then keeps
+
+    def __init_subclass__(cls, **kwargs):
+        for base in cls.__mro__[1:]:
+            if base is not FormalObject and issubclass(base, FormalObject):
+                raise TypeError(
+                    f"node class {base.__name__} is final; {cls.__name__} cannot extend it"
+                )
+        super().__init_subclass__(**kwargs)
 
 
 class Zero(FormalObject):
@@ -142,9 +153,10 @@ def pair(x: FormalObject) -> tuple[FormalObject, FormalObject]:
 def shifted(x: FormalObject, n: int) -> FormalObject:
     if n == 0:
         return x
-    if isinstance(x, Shift):
+    kind = type(x)
+    if kind is Shift:
         return shifted(x.child, x.n + n)
-    if isinstance(x, Zero):
+    if kind is Zero:
         return x
     return Shift(x, n)
 
@@ -152,7 +164,7 @@ def shifted(x: FormalObject, n: int) -> FormalObject:
 def strip_shift(x: FormalObject) -> tuple[FormalObject, int]:
     """Peel outer shifts, returning (core, total shift)."""
     n = 0
-    while isinstance(x, Shift):
+    while type(x) is Shift:
         n += x.n
         x = x.child
     return x, n
@@ -361,11 +373,12 @@ class _Parser:
 
 
 def _children(x: FormalObject) -> tuple[FormalObject, ...]:
-    if isinstance(x, Shift):
+    kind = type(x)
+    if kind is Shift:
         return (x.child,)
-    if isinstance(x, Sum):
+    if kind is Sum:
         return x.children
-    if type(x) in _WORD_OF:
+    if kind in _WORD_OF:
         return pair(x)
     return ()
 
@@ -395,18 +408,19 @@ def parse_divisor(text: str) -> DivisorClass:
 
 
 def pretty(x: FormalObject) -> str:
-    if isinstance(x, Zero):
+    kind = type(x)
+    if kind is Zero:
         return "zero()"
-    if isinstance(x, LineAtom):
+    if kind is LineAtom:
         d = x.divisor
         return f"O({'' if d == DivisorClass(0, 0, 0) else d})"
-    if isinstance(x, PushAtom):
+    if kind is PushAtom:
         return f"OE({x.beta.d},{x.beta.e})"
-    if isinstance(x, Shift):
+    if kind is Shift:
         return f"shift({pretty(x.child)},{x.n})"
-    if isinstance(x, Sum):
+    if kind is Sum:
         return "sum(" + ",".join(pretty(c) for c in x.children) + ")"
-    word = _WORD_OF.get(type(x))
+    word = _WORD_OF.get(kind)
     if word is not None:
         first, second = pair(x)
         return f"{word}({pretty(first)},{pretty(second)})"

@@ -34,7 +34,7 @@ from quadstab.calculus import (
     RHomResult,
     SoundnessError,
 )
-from quadstab import harness
+from quadstab import calculus, harness
 from quadstab.checks import _corpus
 from quadstab.harness import Context, default_config, run_checks, validate_config
 from quadstab.lattice import KTheory
@@ -281,6 +281,24 @@ class TestNormalize:
             except PreconditionError:
                 continue
             assert calc.normalize(once) == once
+
+
+class TestNonNodes:
+    """Each walk over the node kinds ends in a TypeError for a value that is
+    no node, such as an unparsed text."""
+
+    @pytest.mark.parametrize(
+        "walk, message",
+        [
+            (lambda calc, x: calc.class_of(x), "no class for"),
+            (lambda calc, x: calc.normalize(x), "cannot normalize"),
+            (lambda calc, x: calc.tensor_line(x, D(0, 1, 0)), "cannot twist"),
+        ],
+        ids=["class_of", "normalize", "tensor_line"],
+    )
+    def test_a_text_is_refused(self, walk, message):
+        with pytest.raises(TypeError, match=rf"^{message} 'O\(\)'$"):
+            walk(Calculus(Geometry()), "O()")
 
 
 def _normal_form(calc, tree):
@@ -799,6 +817,31 @@ class TestSumGrouping:
         monkeypatch.setattr(Calculus, "_info", recording)
         assert value(Calculus(Geometry()), total) == expected
         assert entered.count((x, Z) if sum_on_left else (Z, x)) == 1
+
+    @pytest.mark.parametrize("sum_on_left", [True, False], ids=["left", "right"])
+    def test_children_are_grouped_once_per_calculus(self, monkeypatch, sum_on_left):
+        # one sum against two partners: grouped at the first unfolding only,
+        # and again on a fresh Calculus, whose memos start empty
+        reference = Calculus(Geometry())
+        total = parse_object("sum(cone(O(),O(H)),cone(O(),O(H)),O(h),cone(O(),O(H)))")
+        partners = [reference.normalize(parse_object(t)) for t in ("cone(O(-h),O(k))", "O(H-k)")]
+
+        def value(calc, Z):
+            return calc.rhom(total, Z) if sum_on_left else calc.rhom(Z, total)
+
+        expected = [value(reference, Z) for Z in partners]
+        grouped = []
+        counter = calculus.Counter
+
+        def recording(children):
+            grouped.append(children)
+            return counter(children)
+
+        monkeypatch.setattr(calculus, "Counter", recording)
+        for _ in range(2):
+            calc = Calculus(Geometry())
+            assert [value(calc, Z) for Z in partners] == expected
+        assert grouped == [total.children, total.children]
 
 
 class TestRuleLoop:

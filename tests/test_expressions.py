@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import pickle
@@ -266,6 +267,19 @@ class TestNodes:
             with pytest.raises(TypeError):
                 Cone(*fields)
 
+    def test_node_classes_are_final(self):
+        # exact-class dispatch (type(x) is Cone) and identity equality read a
+        # node's class as its kind, so no node class may be extended
+        gc.collect()  # a refused subclass lingers until its cycle is freed
+        assert set(FormalObject.__subclasses__()) == {
+            Cone, LineAtom, MutateLeftNode, MutateRightNode, PushAtom, Shift, Sum, Zero
+        }
+        assert len(FormalObject.__subclasses__()) == 8
+        with pytest.raises(TypeError, match=r"^node class Cone is final; Tagged cannot extend it$"):
+
+            class Tagged(Cone):
+                __slots__ = ()
+
     def test_fields_are_frozen(self):
         for node in _nodes(_all_kinds()):
             for name in node.__slots__:
@@ -362,6 +376,10 @@ class TestPrinter:
     def test_round_trip(self, text):
         tree = parse_object(text)
         assert parse_object(pretty(tree)) == tree
+
+    def test_a_non_node_is_refused(self):
+        with pytest.raises(TypeError, match=r"^cannot print 'O\(\)'$"):
+            pretty("O()")
 
 
 class TestHelpers:
