@@ -292,8 +292,9 @@ class KTheory:
     tensor product with O(D) by linearity over the line-bundle basis; the
     Euler pairing from an integer Gram matrix built on first
     use by Hirzebruch-Riemann-Roch, as the covector x^T G, memoized per
-    class x, dotted with y.  gram_matrix computes one covector per row and
-    does not keep it, so the memo holds only left arguments of euler_pairing.
+    class x, dotted with y.  gram_matrix computes one covector per row, and
+    euler_pairings one per distinct left class of its pairs; neither keeps
+    it, so the memo holds only left arguments of euler_pairing.
     """
 
     def __init__(self, geometry: Geometry):
@@ -399,6 +400,17 @@ class KTheory:
     def gram_matrix(self, classes: Sequence[KClass]) -> list[list[int]]:
         """[[chi(x, y) for y] for x], one covector x^T G per row, not kept."""
         return [[sum(map(operator.mul, c, y)) for y in classes] for c in map(self._covector, classes)]
+
+    def euler_pairings(self, pairs: Iterable[tuple[KClass, KClass]]) -> list[int]:
+        """[chi(x, y) for x, y in pairs], one covector x^T G per distinct x, not kept."""
+        covectors: dict[KClass, tuple[int, ...]] = {}
+        out = []
+        for x, y in pairs:
+            covector = covectors.get(x)
+            if covector is None:
+                covector = covectors[x] = self._covector(x)
+            out.append(sum(map(operator.mul, covector, y)))
+        return out
 
     # -- integral coordinates ----------------------------------------------------
 

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -654,10 +655,12 @@ class TestReportOpCounts:
     """The default report reuses atom values by divisor difference: without
     the atom memo it makes about 25,000 cohomology calls and 23,900 pair
     memo entries.  Its 2,321 Euler pairings have 332 distinct left classes,
-    and the pairing keeps one covector per left class; props.euler-soundness
-    reads its oracle from one Gram table, not one pairing per pair.  rhom
-    answers two atoms without normalize, so the report makes 2,884
-    normalize calls."""
+    and the pairing keeps one covector per left class.  props.euler-soundness
+    makes none of them: it queries one atom pair per translation class (972)
+    and the 909 pairs that hold G, F or Ecal, 1,881 top-level rhom queries
+    for 23,409 pairs, and reads their oracle with one covector per distinct
+    left class, none kept.  rhom answers two atoms without normalize, so the
+    report makes 2,884 normalize calls."""
 
     def test_default_report(self, monkeypatch):
         calls = {"n": 0}
@@ -675,8 +678,9 @@ class TestReportOpCounts:
         for name in ("threefold_cohomology", "surface_cohomology"):
             monkeypatch.setattr(Geometry, name, counting(name))
         lefts = set()
-        pairing, normalize = KTheory.euler_pairing, Calculus.normalize
+        pairing, normalize, rhom = KTheory.euler_pairing, Calculus.normalize, Calculus.rhom
         pairings, normalizations = [], []
+        sweep = {"running": False, "queries": 0, "depth": 0}
 
         def recording(kt, x, y):
             lefts.add(x)
@@ -687,8 +691,29 @@ class TestReportOpCounts:
             normalizations.append(x)
             return normalize(calc, x)
 
+        def querying(calc, x, y):
+            # only the sweep's own queries, not the engine's inner ones
+            sweep["queries"] += sweep["running"] and not sweep["depth"]
+            sweep["depth"] += 1
+            try:
+                return rhom(calc, x, y)
+            finally:
+                sweep["depth"] -= 1
+
+        def sweeping(check):
+            def runner(ctx):
+                sweep["running"] = True
+                try:
+                    return check.runner(ctx)
+                finally:
+                    sweep["running"] = False
+
+            return replace(check, runner=runner) if check.name == "props.euler-soundness" else check
+
         monkeypatch.setattr(KTheory, "euler_pairing", recording)
         monkeypatch.setattr(Calculus, "normalize", normalizing)
+        monkeypatch.setattr(Calculus, "rhom", querying)
+        monkeypatch.setattr(harness, "REGISTRY", [sweeping(check) for check in harness.REGISTRY])
         ctx = Context(default_config())
         results = run_checks(ctx)
         assert all(r.status == "pass" for r in results)
@@ -698,6 +723,7 @@ class TestReportOpCounts:
         assert len(ctx.kt._covectors) <= len(lefts) <= 400
         assert len(pairings) <= 2321
         assert len(normalizations) <= 2884
+        assert 0 < sweep["queries"] <= 1881
 
 
 class TestUndecided:

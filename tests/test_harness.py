@@ -21,10 +21,10 @@ import pytest
 
 import quadstab
 from quadstab import checks, harness, stability
-from quadstab.calculus import MAX_COPIES, Calculus, PreconditionError
+from quadstab.calculus import MAX_COPIES, Calculus, PreconditionError, RHomResult
 from quadstab.expressions import MAX_COEFFICIENT, MAX_DEPTH, LineAtom, PushAtom
-from quadstab.geometry import DivisorClass, SurfaceDivisor
-from quadstab.lattice import KTheory
+from quadstab.geometry import DivisorClass, GradedDims, SurfaceDivisor
+from quadstab.lattice import KClass, KTheory
 
 from quadstab.harness import (
     CHECK_NAMES,
@@ -944,23 +944,34 @@ class TestChargesOnTheirHearts:
         }
 
 
-def euler_sweep_with_one_entry_moved() -> tuple:
-    """Run props.euler-soundness with one oracle entry moved by 1 and every
-    query to Calculus.rhom recorded.  Returns the check's verdict and text,
-    the number of queries and whether they came in the sweep's order: row
-    by row over the atoms and then G, F and Ecal, each against every object
-    in that order.  It asserts nothing, so it reports the same under
-    ``python -O``."""
+def translation_class(x, y) -> tuple:
+    """What a common twist of two atoms by a line bundle keeps: their kinds
+    and, along H, h and k, the difference of their coefficients where the
+    twist moves both (O(H) does not move OE(d,e))."""
+
+    def along(z):
+        return tuple(z.divisor) if type(z) is LineAtom else (None, *z.beta)
+
+    return type(x), type(y), *(None if None in uv else uv[1] - uv[0] for uv in zip(along(x), along(y)))
+
+
+def euler_sweep_with_one_entry_moved(moved: tuple[str, str]) -> tuple:
+    """Run props.euler-soundness with the oracle entry of one pair, given as
+    two texts, moved by 1 and every query to Calculus.rhom recorded.  Returns
+    the check's verdict and text, the number of atom-pair queries, whether
+    they are one pair of each translation class of the 22,500 atom pairs,
+    the number of the other queries and whether those are every pair that
+    holds G, F or Ecal, once each.  It asserts nothing, so it reports the
+    same under ``python -O``."""
     ctx = Context(default_config())
     span = range(-2, 3)
     atoms = [LineAtom(DivisorClass(a, b, c)) for a in span for b in span for c in span]
     atoms += [PushAtom(SurfaceDivisor(d, e)) for d in span for e in span]
     named = [ctx.obj(n) for n in ("G", "F", "Ecal")]  # built before the spy
     objects = atoms + named
-    order = [(x, y) for x in objects for y in objects]
-    moved = (atoms.index(PushAtom(SurfaceDivisor(-2, -2))), atoms.index(PushAtom(SurfaceDivisor(-1, -1))))
+    target = tuple(ctx.calc.class_of(ctx.obj(text)) for text in moved)
     queries, depth = [], [0]
-    rhom, gram_matrix = Calculus.rhom, KTheory.gram_matrix
+    rhom, pairings = Calculus.rhom, KTheory.euler_pairings
 
     def spying(calc, x, y):
         # the engine's own inner queries (normalizing a mutation) are not the sweep's
@@ -972,44 +983,155 @@ def euler_sweep_with_one_entry_moved() -> tuple:
         finally:
             depth[0] -= 1
 
-    def moving(kt, classes):
-        # RHom(OE(-2,-2), OE(-1,-1)) is ambiguous, so only its Euler number
-        # meets the entry and one move makes one mismatch
-        table = gram_matrix(kt, classes)
-        table[moved[0]][moved[1]] += 1
-        return table
+    def moving(kt, pairs):
+        pairs = list(pairs)
+        return [chi + (pair == target) for pair, chi in zip(pairs, pairings(kt, pairs))]
 
-    with mock.patch.object(Calculus, "rhom", spying), mock.patch.object(KTheory, "gram_matrix", moving):
+    with mock.patch.object(Calculus, "rhom", spying), mock.patch.object(KTheory, "euler_pairings", moving):
         ok, text = checks._check_props_euler(ctx)
-    return ok, text, len(queries), queries == order
+    atom_queries = [(x, y) for x, y in queries if x in atoms and y in atoms]
+    met = [translation_class(x, y) for x, y in atom_queries]
+    every_class_once = sorted(met, key=str) == sorted({translation_class(x, y) for x in atoms for y in atoms}, key=str)
+    named_queries = [(x, y) for x, y in queries if x in named or y in named]
+    every_named_pair_once = set(named_queries) == {(x, y) for x in objects for y in objects if x in named or y in named}
+    every_named_pair_once &= len(set(named_queries)) == len(named_queries)
+    return ok, text, len(atom_queries), every_class_once, len(named_queries), every_named_pair_once
+
+
+def euler_sweep_with_one_value_moved(moved: tuple[str, str]) -> tuple[bool, str]:
+    """Run props.euler-soundness with the engine's value of one pair, given
+    as two texts, raised by one dimension in degree 0, as a wrong atom memo
+    entry would raise it for every pair of the pair's translation class."""
+    ctx = Context(default_config())
+
+    def key(x, y):
+        atoms = type(x) in (LineAtom, PushAtom) and type(y) in (LineAtom, PushAtom)
+        return translation_class(x, y) if atoms else (x, y)
+
+    target = key(*(ctx.obj(text) for text in moved))
+    one, rhom, depth = RHomResult.exact(GradedDims.single(0)), Calculus.rhom, [0]
+
+    def moving(calc, x, y):
+        depth[0] += 1
+        try:
+            value = rhom(calc, x, y)
+        finally:
+            depth[0] -= 1
+        return value.add(one) if not depth[0] and key(x, y) == target else value
+
+    with mock.patch.object(Calculus, "rhom", moving):
+        return checks._check_props_euler(ctx)
+
+
+def euler_sweep_with_a_broken_twist(broken: str) -> tuple[bool, str]:
+    """Run props.euler-soundness with one coordinate moved by 1: of
+    KTheory.tensor_line by O(h) on the basis vector of O(h+k), or of the
+    class of the atom O(H+h+k).  The check proves the twist before any query,
+    so it must fail with the proof's reason; neither the engine nor the
+    oracle reads tensor_line, so only the proof sees the first."""
+    ctx = Context(default_config())
+    if broken == "tensor_line":
+        basis_vector, original = KClass(int(j == 3) for j in range(8)), KTheory.tensor_line
+
+        def twisting(kt, x, D):
+            out = original(kt, x, D)
+            if (x, D) == (basis_vector, DivisorClass(0, 1, 0)):
+                return KClass(c + (i == 0) for i, c in enumerate(out))
+            return out
+
+        patch = mock.patch.object(KTheory, "tensor_line", twisting)
+    else:
+        atom, original = LineAtom(DivisorClass(1, 1, 1)), Calculus.class_of
+
+        def classifying(calc, x):
+            out = original(calc, x)
+            if x is atom:
+                return KClass(c + (i == 0) for i, c in enumerate(out))
+            return out
+
+        patch = mock.patch.object(Calculus, "class_of", classifying)
+    with patch:
+        return checks._check_props_euler(ctx)
+
+
+def run_under_python_O(function: str, arguments: list) -> str:
+    """What ``[function(a) for a in arguments]`` prints, for a function of
+    this module, in a child ``python -O`` whose asserts are checked off."""
+    script = (
+        f"from test_harness import {function}\n"
+        "assert False, 'asserts must be off'\n"
+        f"print([{function}(a) for a in {arguments!r}])\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(quadstab.__file__).parents[1]), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout
 
 
 class TestEulerSweep:
-    """props.euler-soundness queries every pair once, in a fixed order, and
-    compares each against the Gram table, so a wrong entry shows."""
+    """props.euler-soundness queries one atom pair per translation class and
+    every pair that holds G, F or Ecal, and compares each against the
+    oracle: a wrong entry of a class counts the class's size, a wrong entry
+    of a named pair counts 1.  Both moved pairs are ambiguous, so only their
+    Euler number meets the entry."""
 
-    RESULT = (False, "1 mismatches over 23409 pairs (23031 determined)", 23409, True)
+    MOVES = {
+        # the push-push class of difference (1, 1): (5 - 1) * (5 - 1) pairs
+        "class": (("OE(-2,-2)", "OE(-1,-1)"), 16),
+        "named": (("G", "O(H-k)"), 1),
+    }
+
+    @staticmethod
+    def result(mismatches: int) -> tuple:
+        return (False, f"{mismatches} mismatches over 23409 pairs (23031 determined)", 972, True, 909, True)
 
     def test_order_and_one_moved_entry(self):
-        assert euler_sweep_with_one_entry_moved() == self.RESULT
+        for moved, mismatches in self.MOVES.values():
+            assert euler_sweep_with_one_entry_moved(moved) == self.result(mismatches)
 
     def test_under_python_O(self):
-        script = (
-            "from test_harness import euler_sweep_with_one_entry_moved\n"
-            "assert False, 'asserts must be off'\n"
-            "print(euler_sweep_with_one_entry_moved())\n"
-        )
-        tests = Path(__file__).resolve().parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(quadstab.__file__).parents[1]), str(tests)]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-            check=True,
-        )
-        assert proc.stdout == f"{self.RESULT}\n"
+        moves = [moved for moved, _ in self.MOVES.values()]
+        expected = [self.result(mismatches) for _, mismatches in self.MOVES.values()]
+        assert run_under_python_O("euler_sweep_with_one_entry_moved", moves) == f"{expected}\n"
+
+    # determined pairs, so both the Euler number and the dims miss the oracle
+    VALUES = {
+        # the line-line class of difference (1, 0, 0): (5 - 1) * 5 * 5 pairs
+        "class": (("O()", "O(H)"), 200),
+        "named": (("G", "O()"), 2),
+    }
+
+    @pytest.mark.parametrize("move", sorted(VALUES))
+    def test_a_moved_engine_value(self, move):
+        moved, mismatches = self.VALUES[move]
+        text = f"{mismatches} mismatches over 23409 pairs (23031 determined)"
+        assert euler_sweep_with_one_value_moved(moved) == (False, text)
+
+
+class TestTwistProof:
+    """props.euler-soundness checks one pair per translation class only
+    after proving that a twist by O(H), O(h) or O(k) keeps the Gram side; a
+    broken twist fails the check, also under ``python -O``."""
+
+    RESULTS = {
+        "tensor_line": (False, "tensor_line by O(h) does not preserve the Euler form"),
+        "class_of": (False, "the class of O(H+h+k) is not that of O(h+k) twisted by O(H)"),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(RESULTS))
+    def test_a_broken_twist_fails(self, broken):
+        assert euler_sweep_with_a_broken_twist(broken) == self.RESULTS[broken]
+
+    def test_under_python_O(self):
+        printed = run_under_python_O("euler_sweep_with_a_broken_twist", list(self.RESULTS))
+        assert printed == f"{list(self.RESULTS.values())}\n"
 
 
 class TestBenchmarkGolden:

@@ -435,7 +435,8 @@ class TestPairingCovector:
 
 class TestGramMatrix:
     """gram_matrix is the table of euler_pairing over the classes, one
-    covector per row, and it keeps none of those covectors."""
+    covector per row, and euler_pairings its value on each of a list of
+    pairs; neither keeps a covector."""
 
     @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (2, 3)])
     def test_equals_the_pairing_table(self, twist):
@@ -448,6 +449,15 @@ class TestGramMatrix:
         kept = len(kt._covectors)
         assert kt.gram_matrix(classes[::-1]) == [row[::-1] for row in gram[::-1]]
         assert len(kt._covectors) == kept
+
+    @pytest.mark.parametrize("twist", [(-1, -1), (0, 0), (2, 3)])
+    def test_pairings_of_pairs_equal_the_pairing(self, twist):
+        kt = KTheory(Geometry(GeometryConfig(*twist)))
+        classes = [kt.from_coordinates(c) for c in TestPairingCovector.classes(random.Random(str(twist)))]
+        pairs = random.Random(7).sample([(x, y) for x in classes for y in classes], 60)
+        values = kt.euler_pairings(iter(pairs))
+        assert kt._covectors == {}
+        assert values == [kt.euler_pairing(x, y) for x, y in pairs]
 
 
 class TestKernelLattice:

@@ -28,6 +28,11 @@ Hash-consing: a node equals another only if it is that node, on every path
 that builds one (parsing, normalizing, twisting, tilting a heart, copying and
 pickling), across Contexts: two nodes of one structure are one object.
 
+Gram form: props.euler-soundness queries one atom pair per translation
+class, so every pair of its sweep is checked here against chi(x, y) = x^T G y
+of the classes, at the default twist and three others: the Euler number of
+the value, and that of its upper bound when the value is determined.
+
 Query order: the sweep reports the same mismatch and determined counts when
 its objects come forward, reversed or shuffled, each on a fresh Context, at
 four twists, so no value depends on what the memo held before.
@@ -246,6 +251,27 @@ def test_every_rule_agrees_with_the_first_determined(pairs_of, request):
         if other != value
     ]
     assert moved == []
+
+
+def _sweep_at(twist):
+    """The sweep's pairs and values on a fresh Context at another twist."""
+    ctx = Context(HarnessConfig.from_text(DEFAULT_CONFIG_TEXT.replace("twist = -1,-1", f"twist = {twist}")))
+    objects = _sweep_objects(ctx)
+    pairs = [(x, y) for x in objects for y in objects]
+    return ctx.calc, pairs, _values(ctx.calc, pairs)
+
+
+@pytest.mark.parametrize("twist", ["-1,-1", "0,0", "-2,0", "1,-2"])
+def test_every_sweep_pair_agrees_with_the_gram_form(twist, request):
+    calc, pairs, values = request.getfixturevalue("sweep") if twist == "-1,-1" else _sweep_at(twist)
+    assert len(pairs) == (153 if twist == "-1,-1" else 150) ** 2
+    pairing, class_of = calc.ktheory.euler_pairing, calc.class_of
+    disagreements = []
+    for (x, y), value in zip(pairs, values):
+        chi = pairing(class_of(x), class_of(y))
+        if value.euler != chi or (value.determined and value.hi.euler() != chi):
+            disagreements.append((x, y, str(value), chi))
+    assert disagreements == []
 
 
 ORDERS = {
