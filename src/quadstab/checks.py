@@ -411,7 +411,8 @@ def _twist_defect(calc: Calculus, atoms: list[FormalObject]) -> Optional[str]:
         rows = list(zip(*images))
         for x in atoms:
             twisted = calc.tensor_line(x, L)
-            image = KClass(sum(map(operator.mul, row, calc.class_of(x))) for row in rows)
+            cls = calc.class_of(x)
+            image = KClass(sum(map(operator.mul, row, cls)) for row in rows)
             if calc.class_of(twisted) != image:
                 return f"the class of {pretty(twisted)} is not that of {pretty(x)} twisted by O({L})"
     return None

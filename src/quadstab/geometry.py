@@ -208,6 +208,8 @@ class GradedDims:
     scale (by m >= 1) cannot make a zero or a negative entry, so they do not
     check again.  The map is never changed after it is built, so euler() is
     computed on first use and kept in a slot that equality and hash ignore.
+    Every map is built with that slot set to None, so the first read is a
+    test for None and raises nothing.
     """
 
     __slots__ = ("_dims", "_euler")
@@ -224,12 +226,14 @@ class GradedDims:
             if dim:
                 dims[deg] = dim
         self._dims = dims
+        self._euler = None
 
     @staticmethod
     def _of(dims: dict[int, int]) -> "GradedDims":
         """Wrap a dict of positive dimensions that no one else holds."""
         out = object.__new__(GradedDims)
         out._dims = dims
+        out._euler = None
         return out
 
     @staticmethod
@@ -246,11 +250,9 @@ class GradedDims:
         return not self._dims
 
     def euler(self) -> int:
-        try:
-            return self._euler
-        except AttributeError:
+        if self._euler is None:
             self._euler = sum(v if d % 2 == 0 else -v for d, v in self._dims.items())
-            return self._euler
+        return self._euler
 
     def translate(self, t: int) -> "GradedDims":
         return GradedDims._of({d + t: v for d, v in self._dims.items()})
@@ -495,18 +497,19 @@ class Geometry:
 
         24 chi = D (D (4D + 6c1) + 2(c1^2 + c2)) + c1 c2 with c1, c2 the
         Chern classes of the tangent bundle; every product is integral.
+        The divisor class 4D + 6c1 and the curve class D (4D + 6c1) +
+        2(c1^2 + c2) are written out coefficient by coefficient, and the
+        ring relations are those of _curve_product and _point_product.
         Raises GeometryError if the right side is not divisible by 24.
         """
         if self._rr is None:
             c1, c2 = self.chern_classes()
             curve = tuple(2 * (x + y) for x, y in zip(self.chow_mul(c1, c1).c2, c2.c2))
             self._rr = (c1.c1, curve, self.degree(self.chow_mul(c1, c2)))
-        c1, curve, c1c2 = self._rr
-        d = (D.nH, D.nh, D.nk)
-        inner = self._curve_product(d, tuple(4 * x + 6 * y for x, y in zip(d, c1)))
-        chi, rest = divmod(
-            self._point_product(d, tuple(x + y for x, y in zip(inner, curve))) + c1c2, 24
-        )
+        (cH, ch, ck), (vHh, vHk, vhk), c1c2 = self._rr
+        nH, nh, nk = D
+        Hh, Hk, hk = self._curve_product(D, (4 * nH + 6 * cH, 4 * nh + 6 * ch, 4 * nk + 6 * ck))
+        chi, rest = divmod(self._point_product(D, (Hh + vHh, Hk + vHk, hk + vhk)) + c1c2, 24)
         if rest:
             raise GeometryError(f"chi(O({D})) is not an integer")
         return chi

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from quadstab.geometry import (
     GradedDims,
     SurfaceDivisor,
 )
+from quadstab.expressions import MAX_COEFFICIENT
 
 D = DivisorClass
 S = SurfaceDivisor
@@ -253,6 +256,46 @@ class TestIntegerRiemannRoch:
         with pytest.raises(GeometryError, match="not an integer"):
             g.euler_characteristic(D(1, 0, 0))
 
+    @pytest.mark.parametrize("twist", [(-1, -1), (2, 3)])
+    def test_matches_rational_oracle_at_the_largest_coefficients(self, twist):
+        # the eight sign corners of the parser's coefficient box
+        g = Geometry(GeometryConfig(*twist))
+        unit = g.chern_character(D(0, 0, 0))
+        M = MAX_COEFFICIENT
+        assert M == 10_000
+        for signs in itertools.product((1, -1), repeat=3):
+            dd = D(*(s * M for s in signs))
+            chi = g.euler_characteristic(dd)
+            assert type(chi) is int
+            assert chi == g.hrr_euler(unit, g.chern_character(dd))
+
+    def test_hrr_check_calls_each_kernel_once_per_divisor(self, monkeypatch):
+        # the check compares the two integer kernels it names on 3 twists x
+        # 729 divisors, each pair once, and never the rational pairing
+        from quadstab import checks, harness
+
+        calls = {"threefold_cohomology": [], "euler_characteristic": [], "hrr_euler": []}
+
+        def recording(name):
+            original = getattr(Geometry, name)
+
+            def wrapper(self, *args):
+                calls[name].append((self.config, *args))
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Geometry, name, recording(name))
+        ok, actual = checks._check_props_hrr(harness.Context(harness.default_config()))
+        assert (ok, actual) == (True, "0/2187 mismatches")
+        cohomology, chi = calls["threefold_cohomology"], calls["euler_characteristic"]
+        assert len(cohomology) == len(set(cohomology)) == 2187
+        assert len(chi) == len(set(chi)) == 2187
+        assert set(cohomology) == set(chi)
+        assert len({config for config, _ in chi}) == 3
+        assert calls["hrr_euler"] == []
+
     def test_hrr_check_uses_no_rational_pairing(self, monkeypatch):
         from quadstab import checks, harness
 
@@ -412,3 +455,68 @@ class TestGradedDims:
             cached.euler()
             assert cached == plain and plain == cached and hash(cached) == hash(plain)
             assert len({cached, plain}) == 1
+
+
+# two maps with even and odd, negative and positive degrees
+_A = {-2: 1, -1: 4, 0: 3, 1: 2, 4: 1}
+_B = {-1: 2, 0: 1, 1: 4, 3: 1, 6: 2}
+
+# every way a map is built, each call a new map from new operands
+BUILDS = {
+    "init": lambda: GradedDims(_A),
+    "single": lambda: GradedDims.single(-3, 2),
+    "_of": lambda: GradedDims._of(dict(_B)),
+    "translate": lambda: GradedDims(_A).translate(3),
+    "dual": lambda: GradedDims(_A).dual(3),
+    "scale": lambda: GradedDims(_B).scale(4),
+    "+": lambda: GradedDims(_A) + GradedDims(_B),
+    "join": lambda: GradedDims(_A).join(GradedDims(_B)),
+    "meet": lambda: GradedDims(_A).meet(GradedDims(_B)),
+    "monus": lambda: GradedDims(_B).monus(GradedDims(_A)),
+    "les_sum": lambda: GradedDims(_A).les_sum(GradedDims(_B), GradedDims({0: 1, 1: 1}), 1),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+class TestEulerCache:
+    """GradedDims keeps its Euler number in a slot that every map is built
+    with, as None, and that equality, hash, printing and copies do not see."""
+
+    @staticmethod
+    def alternating_sum(d):
+        return sum(v if deg % 2 == 0 else -v for deg, v in d.items())
+
+    def test_the_slot_starts_empty(self, build):
+        assert BUILDS[build]()._euler is None
+
+    def test_two_reads_give_the_alternating_sum(self, build):
+        d = BUILDS[build]()
+        assert not d.is_zero()
+        want = self.alternating_sum(d)
+        assert d.euler() == want
+        assert d._euler == want
+        assert d.euler() == want
+
+    def test_a_read_map_equals_hashes_and_prints_like_an_unread_one(self, build):
+        read, unread = BUILDS[build](), BUILDS[build]()
+        read.euler()
+        assert read == unread and unread == read
+        assert hash(read) == hash(unread)
+        assert len({read, unread}) == 1
+        assert str(read) == str(unread) and repr(read) == repr(unread)
+        assert unread._euler is None
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_is_equal_with_the_same_euler_number(self, build, clone, read_first):
+        d = BUILDS[build]()
+        if read_first:
+            d.euler()
+        out = clone(d)
+        assert type(out) is GradedDims
+        assert out == d and hash(out) == hash(d) and repr(out) == repr(d)
+        assert out.euler() == d.euler() == self.alternating_sum(d)
